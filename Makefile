@@ -7,9 +7,11 @@ test:
 	go build ./...
 	go test ./...
 
-# Dataplane fuzzing (bounded; extend -fuzztime for longer campaigns).
+# Wire-protocol and codec-container fuzzing (bounded; extend -fuzztime
+# for longer campaigns).
 fuzz:
 	go test -run=xxx -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/viewserver/
+	go test -run=xxx -fuzz=FuzzParseDecode -fuzztime=30s ./internal/codec/
 
 # Hot-path benchmarks: writes BENCH_hotpath.json (ns/op, B/op, allocs/op
 # vs the pre-overhaul baseline). BENCHTIME=200x make bench for more laps.

@@ -29,11 +29,11 @@ var batchOverlap = flag.Bool("batch-overlap", true, "include the cross-sample ba
 
 func init() {
 	register("reuse", "core: superset-crop reuse over four overlapping views, on vs off (exact rewrite)", func() error {
-		onNs, onStats, onDig, err := reuseRun(false)
+		onNs, onStats, onDig, err := reuseRun(core.ReuseBatch)
 		if err != nil {
 			return err
 		}
-		offNs, _, offDig, err := reuseRun(true)
+		offNs, _, offDig, err := reuseRun(core.ReuseOff)
 		if err != nil {
 			return err
 		}
@@ -57,11 +57,11 @@ func init() {
 			// Cross-sample arm: four single-chain samples per batch — a
 			// per-sample planner has nothing to group inside one chain, so
 			// the whole difference is batch-scoped planning.
-			bNs, bStats, bDig, err := batchOverlapRun(false)
+			bNs, bStats, bDig, err := batchOverlapRun(core.ReuseBatch)
 			if err != nil {
 				return err
 			}
-			sNs, _, sDig, err := batchOverlapRun(true)
+			sNs, _, sDig, err := batchOverlapRun(core.ReuseSample)
 			if err != nil {
 				return err
 			}
@@ -86,7 +86,7 @@ func init() {
 
 // reuseRun consumes every batch of a three-epoch run and returns mean
 // ns/batch, the reuse counters, and a digest of all output bytes.
-func reuseRun(disable bool) (int64, core.ReuseStats, string, error) {
+func reuseRun(level core.ReuseLevel) (int64, core.ReuseStats, string, error) {
 	ds, err := dataset.Generate("reusebench", dataset.VideoSpec{
 		W: 96, H: 96, C: 3, Frames: 40, FPS: 30, GOP: 10,
 	}, 8, 7)
@@ -142,7 +142,7 @@ func reuseRun(disable bool) (int64, core.ReuseStats, string, error) {
 		Workers:        4,
 		Coordinate:     true,
 		Seed:           11,
-		Reuse:          core.ReuseOptions{DisableSuperset: disable},
+		Reuse:          level,
 	})
 	if err != nil {
 		return 0, core.ReuseStats{}, "", err
@@ -184,7 +184,7 @@ func reuseRun(disable bool) (int64, core.ReuseStats, string, error) {
 // measured task's, which is where the chunk planner anchors the window
 // geometry). Returns mean ns/batch, reuse counters, and an output
 // digest.
-func batchOverlapRun(disableBatchScope bool) (int64, core.ReuseStats, string, error) {
+func batchOverlapRun(level core.ReuseLevel) (int64, core.ReuseStats, string, error) {
 	ds, err := dataset.Generate("xsoverlap", dataset.VideoSpec{
 		W: 96, H: 96, C: 3, Frames: 40, FPS: 30, GOP: 10,
 	}, 6, 7)
@@ -239,7 +239,7 @@ func batchOverlapRun(disableBatchScope bool) (int64, core.ReuseStats, string, er
 		Workers:        4,
 		Coordinate:     true,
 		Seed:           11,
-		Reuse:          core.ReuseOptions{DisableBatchScope: disableBatchScope},
+		Reuse:          level,
 	})
 	if err != nil {
 		return 0, core.ReuseStats{}, "", err

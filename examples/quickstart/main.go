@@ -131,8 +131,12 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON of the run to this file")
 	storeShards := flag.Int("store-shards", 0, "object-store shard count (0 = a power of two near GOMAXPROCS, 1 = unsharded)")
 	overlap := flag.Bool("overlap", false, "run the four-view overlapping-crop task instead of the single-view demo")
-	reuse := flag.Bool("reuse", true, "enable superset-crop reuse for overlapping views (exact; off recomputes each view)")
+	reuse := flag.String("reuse", "batch", "superset-crop reuse scope for overlapping views: batch, sample or off (all exact; off recomputes each view)")
 	flag.Parse()
+	level, ok := map[string]core.ReuseLevel{"batch": core.ReuseBatch, "sample": core.ReuseSample, "off": core.ReuseOff}[*reuse]
+	if !ok {
+		log.Fatalf("quickstart: unknown -reuse %q (want batch, sample or off)", *reuse)
+	}
 
 	reg := obs.New()
 	if *traceOut != "" {
@@ -170,7 +174,7 @@ func main() {
 		// so a trace of this run shows the engine's whole adaptive story.
 		MemBudget:   memBudget,
 		StoreShards: *storeShards,
-		Reuse:       core.ReuseOptions{DisableSuperset: !*reuse},
+		Reuse:       level,
 		Obs:         reg,
 	})
 	if err != nil {
@@ -209,12 +213,11 @@ func main() {
 	// ------------------------------------------------------------
 
 	// The digest covers every batch byte of the run; with a fixed seed it
-	// is deterministic, so check.sh diffs it across -reuse=true/false to
-	// prove the superset rewrite is exact.
+	// is deterministic, so check.sh diffs it across -reuse=batch/sample/off
+	// to prove the superset rewrite is exact at every level.
 	fmt.Printf("batch digest: %x\n", digest.Sum(nil))
 	rs := svc.ReuseStats()
-	fmt.Printf("reuse: superset_hits=%d superset_misses=%d residual_skipped=%d\n",
-		rs.SupersetHits, rs.SupersetMisses, rs.ResidualSkipped)
+	fmt.Printf("reuse: superset_hits=%d superset_misses=%d\n", rs.SupersetHits, rs.SupersetMisses)
 
 	fmt.Println()
 	if err := reg.WriteText(os.Stdout); err != nil {

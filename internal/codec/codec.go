@@ -56,6 +56,9 @@ const (
 	containerMagic = 0x54564331 // "TVC1"
 	headerSize     = 36
 	indexEntrySize = 9 // offset(8) + type(1)
+	// maxInflateRatio is deflate's largest possible expansion: a
+	// 258-byte match coded in 2 bits.
+	maxInflateRatio = 1032
 	// DefaultGOP mirrors the ~1s keyframe interval typical of the
 	// H.264-encoded web video the paper's datasets use (30 fps).
 	DefaultGOP = 30
@@ -232,7 +235,8 @@ func Parse(data []byte) (*Video, error) {
 		Data:       data,
 	}
 	total := binary.LittleEndian.Uint64(data[28:])
-	if v.W <= 0 || v.H <= 0 || v.C <= 0 || v.C > 16 || v.GOP <= 0 || v.FrameCount <= 0 {
+	if v.W <= 0 || v.H <= 0 || v.W > frame.MaxDimension || v.H > frame.MaxDimension ||
+		v.C <= 0 || v.C > 16 || v.GOP <= 0 || v.FrameCount <= 0 {
 		return nil, fmt.Errorf("codec: implausible header %+v", v)
 	}
 	if total != uint64(len(data)) {
@@ -258,6 +262,18 @@ func Parse(data []byte) (*Video, error) {
 	}
 	if v.index[0].ftype != IFrame {
 		return nil, errors.New("codec: stream does not start with an I-frame")
+	}
+	// Frame 0 is an I-frame and inflates to exactly W*H*C bytes, and
+	// deflate expands its input at most maxInflateRatio times. A header
+	// claiming more than frame 0's payload can hold would size the
+	// decoder's buffers from untrusted bytes, so it is rejected here.
+	off := v.index[0].offset
+	sz := uint64(binary.LittleEndian.Uint32(data[off:]))
+	if off+4+sz > uint64(len(data)) {
+		return nil, errors.New("codec: frame 0 payload truncated")
+	}
+	if uint64(v.W)*uint64(v.H)*uint64(v.C) > maxInflateRatio*sz {
+		return nil, fmt.Errorf("codec: %dx%dx%d frame cannot inflate from a %d-byte payload", v.W, v.H, v.C, sz)
 	}
 	return v, nil
 }

@@ -140,6 +140,9 @@ func TestServiceValidation(t *testing.T) {
 	if _, err := New(Options{Tasks: []*config.Task{task, task}, Dataset: ds}); err == nil {
 		t.Fatal("accepted duplicate task tags")
 	}
+	if _, err := New(Options{Tasks: []*config.Task{task}, Dataset: ds, Reuse: ReuseOff + 1}); err == nil {
+		t.Fatal("accepted an unknown reuse level")
+	}
 }
 
 func TestSingleTaskBatchDelivery(t *testing.T) {

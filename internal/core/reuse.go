@@ -103,14 +103,13 @@ func (p *reusePlan) groupFor(si, ci int) *reuseGroup {
 // windows become reuse groups. Everything else falls through to the
 // baseline, so disjoint windows cost nothing. Passing a single sample
 // reproduces the per-sample plan exactly (groups then never cross
-// samples); Reuse.DisableBatchScope routes through that degenerate
-// form.
+// samples); ReuseSample routes through that degenerate form.
 //
 // The plan is deterministic regardless of map iteration order: group
 // membership is a connected component (order-independent) and the
 // superset is a bounding box (an order-independent fold).
 func (s *Service) buildBatchReusePlan(samples []*graph.Sample) *reusePlan {
-	if s.opts.Reuse.DisableSuperset || len(samples) == 0 {
+	if s.opts.Reuse == ReuseOff || len(samples) == 0 {
 		return nil
 	}
 	type cand struct {

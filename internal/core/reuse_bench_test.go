@@ -25,10 +25,10 @@ func BenchmarkOverlappingViews(b *testing.B) {
 	}
 	modes := []struct {
 		name  string
-		reuse ReuseOptions
+		reuse ReuseLevel
 	}{
-		{"reuse", ReuseOptions{}},
-		{"off", ReuseOptions{DisableSuperset: true}},
+		{"reuse", ReuseBatch},
+		{"off", ReuseOff},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -118,10 +118,10 @@ func BenchmarkBatchOverlappingViews(b *testing.B) {
 	}
 	modes := []struct {
 		name  string
-		reuse ReuseOptions
+		reuse ReuseLevel
 	}{
-		{"batch", ReuseOptions{}},
-		{"sample", ReuseOptions{DisableBatchScope: true}},
+		{"batch", ReuseBatch},
+		{"sample", ReuseSample},
 	}
 	for _, mode := range modes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -194,7 +194,7 @@ func BenchmarkBatchOverlappingViews(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if mode.reuse.DisableBatchScope {
+				if mode.reuse == ReuseSample {
 					for _, sm := range samples {
 						if _, err := s.materializeSampleClip(sm, 0, 0); err != nil {
 							b.Fatal(err)

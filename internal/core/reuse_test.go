@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"testing"
 
-	"sand/internal/codec"
 	"sand/internal/config"
 	"sand/internal/dataset"
-	"sand/internal/frame"
 )
 
 // TestCropRectMath pins the rectangle predicates the reuse planner is
@@ -50,8 +48,9 @@ func TestCropRectMath(t *testing.T) {
 
 // overlapTask builds a resize -> multi(crop branches) -> merge pipeline:
 // several views of the same 64x64 intermediate, each a crop stage given
-// by op specs.
-func overlapTask(t testing.TB, tag string, branches []config.OpSpec) *config.Task {
+// by op specs. With samplesPerVideo > 1 a batch holds several samples of
+// one video, so the views can also share across samples.
+func overlapTask(t testing.TB, tag string, samplesPerVideo int, branches []config.OpSpec) *config.Task {
 	t.Helper()
 	outs := make([]string, len(branches))
 	subs := make([]config.SubBranch, len(branches))
@@ -63,7 +62,7 @@ func overlapTask(t testing.TB, tag string, branches []config.OpSpec) *config.Tas
 		Tag:         tag,
 		Source:      config.SourceFile,
 		DatasetPath: "/data/mini",
-		Sampling:    config.Sampling{VideosPerBatch: 2, FramesPerVideo: 4, FrameStride: 2, SamplesPerVideo: 1},
+		Sampling:    config.Sampling{VideosPerBatch: 2, FramesPerVideo: 4, FrameStride: 2, SamplesPerVideo: samplesPerVideo},
 		Stages: []config.Stage{
 			{
 				Name: "resize", Type: config.BranchSingle,
@@ -94,12 +93,12 @@ func crop(h, w, x, y int) config.OpSpec {
 // buildReuseService starts a service with an effectively disabled object
 // store (StorageBudget 1) so every chain recomputes unless the reuse
 // layer shares work.
-func buildReuseService(t testing.TB, task *config.Task, ds *dataset.Dataset, workers int, reuse ReuseOptions) *Service {
+func buildReuseService(t testing.TB, task *config.Task, ds *dataset.Dataset, workers int, reuse ReuseLevel) *Service {
 	t.Helper()
 	return buildReuseServiceTasks(t, []*config.Task{task}, ds, workers, reuse)
 }
 
-func buildReuseServiceTasks(t testing.TB, tasks []*config.Task, ds *dataset.Dataset, workers int, reuse ReuseOptions) *Service {
+func buildReuseServiceTasks(t testing.TB, tasks []*config.Task, ds *dataset.Dataset, workers int, reuse ReuseLevel) *Service {
 	t.Helper()
 	s, err := New(Options{
 		Tasks:         tasks,
@@ -148,10 +147,56 @@ func serviceDigest(t testing.TB, s *Service, tag string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// reuseLevels is every Reuse setting, batch (the default) first.
+var reuseLevels = []struct {
+	name  string
+	level ReuseLevel
+}{{"batch", ReuseBatch}, {"sample", ReuseSample}, {"off", ReuseOff}}
+
+// checkReuseLevels runs tasks at every reuse level with each worker count
+// and reads tasks[0]. All runs must produce the same bytes, and each
+// level must do the sharing it promises: superset hits at batch and
+// sample level (at sample level only when a sample holds overlapping
+// chains of its own, withinSample), none when off, and cross-sample hits
+// only at batch level. Several workers race on derived-frame
+// publication, so worker count must not leak into bytes either.
+func checkReuseLevels(t *testing.T, ds *dataset.Dataset, tasks []*config.Task, workerCounts []int, withinSample bool) {
+	t.Helper()
+	tag := tasks[0].Tag
+	want := ""
+	for _, lv := range reuseLevels {
+		for _, workers := range workerCounts {
+			s := buildReuseServiceTasks(t, tasks, ds, workers, lv.level)
+			d := serviceDigest(t, s, tag)
+			if want == "" {
+				want = d
+			} else if d != want {
+				t.Fatalf("%s with %d workers: digest %s differs from batch/%d %s", lv.name, workers, d[:12], workerCounts[0], want[:12])
+			}
+			rs := s.ReuseStats()
+			switch lv.level {
+			case ReuseBatch:
+				if rs.SupersetHits == 0 || rs.XSampleHits == 0 || rs.XSampleGroups == 0 {
+					t.Fatalf("batch/%d: superset or cross-sample reuse never fired: %+v", workers, rs)
+				}
+			case ReuseSample:
+				if (rs.SupersetHits > 0) != withinSample || rs.XSampleHits != 0 || rs.XSampleGroups != 0 {
+					t.Fatalf("sample/%d: superset hits %d (within-sample overlap %v), cross-sample %+v",
+						workers, rs.SupersetHits, withinSample, rs)
+				}
+			case ReuseOff:
+				if rs.SupersetHits != 0 || rs.SupersetMisses != 0 || rs.XSampleHits != 0 {
+					t.Fatalf("off/%d: reuse still ran: %+v", workers, rs)
+				}
+			}
+		}
+	}
+}
+
 // TestSupersetByteIdentical: for fixed, centered and shared-origin
-// random crop views — including a 1-pixel overlap — the superset path
-// must produce byte-identical batches to the per-chain baseline, and
-// must actually fire.
+// random crop views — including a 1-pixel overlap — every reuse level
+// with one and four workers must produce the same bytes, and the
+// superset path must fire wherever the level allows it.
 func TestSupersetByteIdentical(t *testing.T) {
 	ds := miniDataset(t, 4)
 	cases := []struct {
@@ -172,23 +217,21 @@ func TestSupersetByteIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			task := overlapTask(t, "ov-"+tc.name, tc.branches)
-			on := buildReuseService(t, task, ds, 4, ReuseOptions{})
-			off := buildReuseService(t, task, ds, 4, ReuseOptions{DisableSuperset: true})
-			dOn := serviceDigest(t, on, task.Tag)
-			dOff := serviceDigest(t, off, task.Tag)
-			if dOn != dOff {
-				t.Fatalf("superset output differs from baseline (%s vs %s)", dOn[:12], dOff[:12])
-			}
-			rs := on.ReuseStats()
-			if tc.name != "random" && rs.SupersetHits == 0 {
-				t.Fatalf("superset never fired: %+v", rs)
-			}
-			if rsOff := off.ReuseStats(); rsOff.SupersetHits != 0 || rsOff.SupersetMisses != 0 {
-				t.Fatalf("disabled superset still ran: %+v", rsOff)
-			}
+			task := overlapTask(t, "ov-"+tc.name, 2, tc.branches)
+			checkReuseLevels(t, ds, []*config.Task{task}, []int{1, 4}, true)
 		})
 	}
+}
+
+// TestSupersetSerialParallelIdentical: worker count must not leak into
+// output bytes when the superset path races on derived-frame publication
+// (first-in wins, all candidates identical), at any reuse level.
+func TestSupersetSerialParallelIdentical(t *testing.T) {
+	ds := miniDataset(t, 4)
+	task := overlapTask(t, "serpar", 2, []config.OpSpec{
+		crop(48, 48, 0, 0), crop(48, 48, 16, 16), crop(48, 48, 8, 4), crop(48, 48, 2, 12),
+	})
+	checkReuseLevels(t, ds, []*config.Task{task}, []int{1, 8}, true)
 }
 
 // TestDisjointWindowsNoReuse: windows with no common pixels (including
@@ -196,122 +239,17 @@ func TestSupersetByteIdentical(t *testing.T) {
 // output matches the baseline.
 func TestDisjointWindowsNoReuse(t *testing.T) {
 	ds := miniDataset(t, 4)
-	task := overlapTask(t, "disjoint", []config.OpSpec{
+	task := overlapTask(t, "disjoint", 1, []config.OpSpec{
 		crop(16, 16, 0, 0), crop(16, 16, 48, 48), crop(16, 16, 16, 0),
 	})
-	on := buildReuseService(t, task, ds, 4, ReuseOptions{})
-	off := buildReuseService(t, task, ds, 4, ReuseOptions{DisableSuperset: true})
+	on := buildReuseService(t, task, ds, 4, ReuseBatch)
+	off := buildReuseService(t, task, ds, 4, ReuseOff)
 	if d1, d2 := serviceDigest(t, on, task.Tag), serviceDigest(t, off, task.Tag); d1 != d2 {
 		t.Fatalf("disjoint-window output differs from baseline")
 	}
 	rs := on.ReuseStats()
 	if rs.SupersetHits != 0 || rs.SupersetMisses != 0 {
 		t.Fatalf("disjoint windows formed a reuse group: %+v", rs)
-	}
-}
-
-// TestSupersetSerialParallelIdentical: worker count must not leak into
-// output bytes when the superset path races on derived-frame publication
-// (first-in wins, all candidates identical).
-func TestSupersetSerialParallelIdentical(t *testing.T) {
-	ds := miniDataset(t, 4)
-	task := overlapTask(t, "serpar", []config.OpSpec{
-		crop(48, 48, 0, 0), crop(48, 48, 16, 16), crop(48, 48, 8, 4), crop(48, 48, 2, 12),
-	})
-	digests := map[string]string{}
-	for _, workers := range []int{1, 8} {
-		for _, reuse := range []ReuseOptions{{}, {DisableSuperset: true}} {
-			s := buildReuseService(t, task, ds, workers, reuse)
-			key := fmt.Sprintf("w%d-sup%v", workers, !reuse.DisableSuperset)
-			digests[key] = serviceDigest(t, s, task.Tag)
-		}
-	}
-	want := digests["w1-supfalse"]
-	for key, d := range digests {
-		if d != want {
-			t.Fatalf("digest %s differs from serial baseline (%v)", key, digests)
-		}
-	}
-}
-
-// staticMiniDataset builds videos whose frames are all identical — every
-// P-frame residual is zero, so the residual gate can skip aggressively
-// while staying exact.
-func staticMiniDataset(t testing.TB, n int) *dataset.Dataset {
-	t.Helper()
-	ds := &dataset.Dataset{Name: "static-mini"}
-	for i := 0; i < n; i++ {
-		base := frame.New(48, 48, 3)
-		for j := range base.Pix {
-			base.Pix[j] = byte((j*13 + i*37) % 251)
-		}
-		frames := make([]*frame.Frame, 40)
-		for fi := range frames {
-			g := base.Clone()
-			g.Index = fi
-			frames[fi] = g
-		}
-		clip, err := frame.NewClip(frames)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := codec.Encode(clip, codec.EncodeParams{GOP: 10, FPS: 30})
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := dataset.VideoSpec{
-			Name: fmt.Sprintf("static_%04d", i),
-			W:    48, H: 48, C: 3, Frames: 40, FPS: 30, GOP: 10,
-			Label: "still",
-		}
-		ds.Videos = append(ds.Videos, dataset.Entry{Spec: spec, Video: v})
-	}
-	return ds
-}
-
-// TestResidualGateStaticVideo: on a perfectly static video the gate must
-// skip chain work for gap frames, and — because the source frames are
-// bit-identical — the output must still equal the ungated baseline.
-func TestResidualGateStaticVideo(t *testing.T) {
-	ds := staticMiniDataset(t, 4)
-	task := overlapTask(t, "gate", []config.OpSpec{
-		crop(48, 48, 0, 0), crop(48, 48, 16, 16),
-	})
-	gated := buildReuseService(t, task, ds, 4, ReuseOptions{ResidualGate: true})
-	plain := buildReuseService(t, task, ds, 4, ReuseOptions{})
-	dGated := serviceDigest(t, gated, task.Tag)
-	dPlain := serviceDigest(t, plain, task.Tag)
-	if dGated != dPlain {
-		t.Fatalf("gated output differs on a static video (%s vs %s)", dGated[:12], dPlain[:12])
-	}
-	rs := gated.ReuseStats()
-	if rs.ResidualChecked == 0 {
-		t.Fatal("gate never evaluated a frame")
-	}
-	if rs.ResidualSkipped == 0 {
-		t.Fatalf("gate skipped nothing on a static video: %+v", rs)
-	}
-	if p := plain.ReuseStats(); p.ResidualChecked != 0 || p.ResidualSkipped != 0 {
-		t.Fatalf("gate ran while disabled: %+v", p)
-	}
-}
-
-// TestResidualGateConservativeOnMotion: with a tiny threshold on moving
-// content the gate must decline every skip and reproduce the baseline
-// exactly — exact mode is simply the gate never firing.
-func TestResidualGateConservativeOnMotion(t *testing.T) {
-	ds := miniDataset(t, 2)
-	task := overlapTask(t, "gatemove", []config.OpSpec{
-		crop(48, 48, 0, 0), crop(48, 48, 16, 16),
-	})
-	gated := buildReuseService(t, task, ds, 1, ReuseOptions{ResidualGate: true, ResidualThreshold: 1e-9})
-	plain := buildReuseService(t, task, ds, 1, ReuseOptions{})
-	if d1, d2 := serviceDigest(t, gated, task.Tag), serviceDigest(t, plain, task.Tag); d1 != d2 {
-		t.Fatalf("near-zero-threshold gate changed output bytes")
-	}
-	rs := gated.ReuseStats()
-	if rs.ResidualSkipped != 0 {
-		t.Fatalf("gate skipped %d frames at threshold 1e-9 on moving video", rs.ResidualSkipped)
 	}
 }
 
@@ -369,24 +307,12 @@ func batchOverlapTasks(tb testing.TB, suffix string) (measured, helper *config.T
 
 // TestBatchScopeByteIdentical: batch-scoped planning must fire across
 // samples (nonzero cross-sample hits on a workload of single-chain
-// samples) and stay byte-identical to per-sample planning.
+// samples) and stay byte-identical to per-sample planning and to reuse
+// off; per-sample planning must form no cross-sample groups.
 func TestBatchScopeByteIdentical(t *testing.T) {
 	ds := miniDataset(t, 3)
 	measured, helper := batchOverlapTasks(t, "-id")
-	batch := buildReuseServiceTasks(t, []*config.Task{measured, helper}, ds, 4, ReuseOptions{})
-	sample := buildReuseServiceTasks(t, []*config.Task{measured, helper}, ds, 4, ReuseOptions{DisableBatchScope: true})
-	dBatch := serviceDigest(t, batch, measured.Tag)
-	dSample := serviceDigest(t, sample, measured.Tag)
-	if dBatch != dSample {
-		t.Fatalf("batch-scoped output differs from per-sample baseline (%s vs %s)", dBatch[:12], dSample[:12])
-	}
-	rs := batch.ReuseStats()
-	if rs.XSampleGroups == 0 || rs.XSampleHits == 0 {
-		t.Fatalf("batch scope never fired across samples: %+v", rs)
-	}
-	if rsOff := sample.ReuseStats(); rsOff.XSampleHits != 0 || rsOff.XSampleGroups != 0 {
-		t.Fatalf("per-sample planning produced cross-sample groups: %+v", rsOff)
-	}
+	checkReuseLevels(t, ds, []*config.Task{measured, helper}, []int{1, 4}, false)
 }
 
 // TestBatchScopeSerialParallelIdentical: worker count must not leak into
@@ -395,111 +321,5 @@ func TestBatchScopeByteIdentical(t *testing.T) {
 func TestBatchScopeSerialParallelIdentical(t *testing.T) {
 	ds := miniDataset(t, 3)
 	measured, helper := batchOverlapTasks(t, "-sp")
-	digests := map[string]string{}
-	for _, workers := range []int{1, 8} {
-		for _, reuse := range []ReuseOptions{{}, {DisableBatchScope: true}} {
-			s := buildReuseServiceTasks(t, []*config.Task{measured, helper}, ds, workers, reuse)
-			key := fmt.Sprintf("w%d-batch%v", workers, !reuse.DisableBatchScope)
-			digests[key] = serviceDigest(t, s, measured.Tag)
-		}
-	}
-	want := digests["w1-batchfalse"]
-	for key, d := range digests {
-		if d != want {
-			t.Fatalf("digest %s differs from serial per-sample baseline (%v)", key, digests)
-		}
-	}
-}
-
-// partialMotionDataset builds videos where motion is spatially confined:
-// source columns [0, 32) never change while columns [32, 48) are redrawn
-// with large deltas every frame. Each video is one GOP, so every
-// inter-frame gap is answerable from residual summaries. The static
-// region is bit-identical across frames (accumulated residual exactly
-// zero), which is the regime where tile-gated recompute must be exact.
-func partialMotionDataset(t testing.TB, n int) *dataset.Dataset {
-	t.Helper()
-	ds := &dataset.Dataset{Name: "partial-motion"}
-	for i := 0; i < n; i++ {
-		frames := make([]*frame.Frame, 40)
-		for fi := range frames {
-			f := frame.New(48, 48, 3)
-			for c := 0; c < 3; c++ {
-				plane := f.Plane(c)
-				for y := 0; y < 48; y++ {
-					for x := 0; x < 48; x++ {
-						if x < 32 {
-							plane[y*48+x] = byte((x*13 + y*7 + c*29 + i*41) % 251)
-						} else {
-							plane[y*48+x] = byte((x*31 + y*17 + c*11 + fi*53) % 251)
-						}
-					}
-				}
-			}
-			f.Index = fi
-			frames[fi] = f
-		}
-		clip, err := frame.NewClip(frames)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := codec.Encode(clip, codec.EncodeParams{GOP: 40, FPS: 30})
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := dataset.VideoSpec{
-			Name: fmt.Sprintf("pm_%04d", i),
-			W:    48, H: 48, C: 3, Frames: 40, FPS: 30, GOP: 40,
-			Label: "partial",
-		}
-		ds.Videos = append(ds.Videos, dataset.Entry{Spec: spec, Video: v})
-	}
-	return ds
-}
-
-// TestTileGatePartialMotion: on spatially sparse motion the tile gate
-// must recompute only the output rectangle the moving tiles influence —
-// and because the static tiles are bit-identical across frames, the
-// spliced output must equal the full recompute exactly.
-func TestTileGatePartialMotion(t *testing.T) {
-	ds := partialMotionDataset(t, 3)
-	task := overlapTask(t, "tilegate", []config.OpSpec{
-		crop(48, 48, 0, 0), crop(48, 48, 16, 16),
-	})
-	gated := buildReuseService(t, task, ds, 4, ReuseOptions{ResidualGate: true})
-	plain := buildReuseService(t, task, ds, 4, ReuseOptions{})
-	dGated := serviceDigest(t, gated, task.Tag)
-	dPlain := serviceDigest(t, plain, task.Tag)
-	if dGated != dPlain {
-		t.Fatalf("tile-gated output differs on partial motion (%s vs %s)", dGated[:12], dPlain[:12])
-	}
-	rs := gated.ReuseStats()
-	if rs.TilePartialFrames == 0 {
-		t.Fatalf("tile gate never spliced a partial frame: %+v", rs)
-	}
-	if rs.TileStaticTiles == 0 || rs.TileDynamicTiles == 0 {
-		t.Fatalf("tile verdicts degenerate (want a mix of static and dynamic): %+v", rs)
-	}
-	if p := plain.ReuseStats(); p.TilePartialFrames != 0 || p.ResidualChecked != 0 {
-		t.Fatalf("gate ran while disabled: %+v", p)
-	}
-}
-
-// TestTileGateConservativeWholeFrameMotion: when every tile moves the
-// gate must fall through to full recompute — no splices, no skips — and
-// reproduce the baseline exactly.
-func TestTileGateConservativeWholeFrameMotion(t *testing.T) {
-	ds := miniDataset(t, 2)
-	task := overlapTask(t, "tilemove", []config.OpSpec{
-		crop(48, 48, 0, 0), crop(48, 48, 16, 16),
-	})
-	gated := buildReuseService(t, task, ds, 1, ReuseOptions{ResidualGate: true, ResidualThreshold: 1e-9})
-	plain := buildReuseService(t, task, ds, 1, ReuseOptions{})
-	if d1, d2 := serviceDigest(t, gated, task.Tag), serviceDigest(t, plain, task.Tag); d1 != d2 {
-		t.Fatalf("near-zero-threshold tile gate changed output bytes")
-	}
-	rs := gated.ReuseStats()
-	if rs.ResidualSkipped != 0 || rs.TilePartialFrames != 0 {
-		t.Fatalf("gate reused output at threshold 1e-9 on whole-frame motion: %+v", rs)
-	}
+	checkReuseLevels(t, ds, []*config.Task{measured, helper}, []int{1, 8}, false)
 }

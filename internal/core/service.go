@@ -14,7 +14,6 @@ import (
 	"sand/internal/dataset"
 	"sand/internal/frame"
 	"sand/internal/graph"
-	"sand/internal/metrics"
 	"sand/internal/obs"
 	"sand/internal/sched"
 	"sand/internal/storage"
@@ -60,10 +59,10 @@ type Options struct {
 	// frames shared across samples). 0 defaults to MemBudget/4. The
 	// effective budget shrinks automatically under memory pressure.
 	GOPCacheBudget int64
-	// Reuse tunes the overlap-aware computation-reuse layer (superset
-	// crops and residual-gated augmentation). The zero value enables
-	// superset sharing — it is exact — and leaves residual gating off.
-	Reuse ReuseOptions
+	// Reuse selects how widely overlapping crop views share work. The
+	// zero value, ReuseBatch, plans across a whole batch. Every level
+	// produces the same bytes.
+	Reuse ReuseLevel
 	// DemandSLO is the demand-path queue-wait p99 SLO handed to the
 	// scheduler's admission control: past it, pre-materialization stops
 	// being admitted until the demand path recovers (DESIGN.md §11).
@@ -81,32 +80,23 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// ReuseOptions configures overlap-aware computation reuse.
-type ReuseOptions struct {
-	// DisableSuperset turns off superset-crop sharing: chains of one
-	// sample whose crop windows overlap normally decode and cache one
-	// bounding region and serve each view as a sub-slice of it. The
-	// optimization is exact (byte-identical output), so it is on by
-	// default; disabling it reproduces the per-chain baseline.
-	DisableSuperset bool
-	// DisableBatchScope restricts superset planning to one sample at a
-	// time (the pre-batch-planner behavior): overlapping views still
-	// share within a sample, but chains of different samples of the same
-	// iteration never group. Batch scope is exact too — cross-sample
-	// members run the same deterministic prefix — so it is on by
-	// default.
-	DisableBatchScope bool
-	// ResidualGate enables residual-gated augmentation: frames whose
-	// accumulated codec residual stays below ResidualThreshold reuse the
-	// previous frame's augmented output instead of recomputing the chain.
-	// The gate is approximate (residuals are mod-256 magnitudes, not
-	// bounds), so it is opt-in; leave it off for bit-exact output.
-	ResidualGate bool
-	// ResidualThreshold is the per-tile mean residual magnitude (per
-	// pixel-sample) below which consecutive frames count as static.
-	// 0 with ResidualGate on defaults to 1.0.
-	ResidualThreshold float64
-}
+// ReuseLevel is the scope of overlap-aware computation reuse
+// (DESIGN.md §9): chains whose crop windows overlap after an identical op
+// prefix compute one bounding superset region and serve each view as a
+// sub-slice of it. Crop-of-crop composition makes every level exact, so
+// the level trades only work, never output bytes.
+type ReuseLevel int
+
+const (
+	// ReuseBatch groups overlapping views across every sample of an
+	// iteration. It is the zero value and the default.
+	ReuseBatch ReuseLevel = iota
+	// ReuseSample groups overlapping views within one sample only; chains
+	// of different samples never share a superset.
+	ReuseSample
+	// ReuseOff disables superset sharing: every chain runs on its own.
+	ReuseOff
+)
 
 func (o *Options) normalize() error {
 	if len(o.Tasks) == 0 {
@@ -141,8 +131,8 @@ func (o *Options) normalize() error {
 	if o.GOPCacheBudget <= 0 {
 		o.GOPCacheBudget = o.MemBudget / 4
 	}
-	if o.Reuse.ResidualGate && o.Reuse.ResidualThreshold <= 0 {
-		o.Reuse.ResidualThreshold = 1.0
+	if o.Reuse < ReuseBatch || o.Reuse > ReuseOff {
+		return fmt.Errorf("core: unknown reuse level %d", o.Reuse)
 	}
 	return nil
 }
@@ -164,22 +154,16 @@ type Service struct {
 	gops  *gopCache
 	fs    *vfs.FS
 
-	reg        *obs.Registry
-	tr         *obs.Tracer
-	flight     *obs.FlightRecorder // auto trace dumps on SLO breach (nil = off)
-	histView   *obs.Histogram      // view-read latency (ns), demand + premat-hit
-	histStatic *obs.Histogram      // residual static-tile fraction per gated frame (basis points)
+	reg      *obs.Registry
+	tr       *obs.Tracer
+	flight   *obs.FlightRecorder // auto trace dumps on SLO breach (nil = off)
+	histView *obs.Histogram      // view-read latency (ns), demand + premat-hit
 
 	// reuse counters (atomic: bumped from intra-sample workers)
-	supersetHits    atomic.Int64 // views served from a shared superset region
-	supersetMisses  atomic.Int64 // superset regions computed fresh
-	xsampleHits     atomic.Int64 // superset hits served through a cross-sample group
-	xsampleGroups   atomic.Int64 // planned groups spanning more than one sample
-	residualChecked atomic.Int64 // frames tested against the residual gate
-	residualSkipped atomic.Int64 // frames that reused the previous output
-	tilePartial     atomic.Int64 // frames rebuilt tile-granularly (partial recompute)
-	tileStatic      atomic.Int64 // tiles spliced forward from the previous output
-	tileDynamic     atomic.Int64 // tiles recomputed within partial frames
+	supersetHits   atomic.Int64 // views served from a shared superset region
+	supersetMisses atomic.Int64 // superset regions computed fresh
+	xsampleHits    atomic.Int64 // superset hits served through a cross-sample group
+	xsampleGroups  atomic.Int64 // planned groups spanning more than one sample
 
 	mu sync.Mutex
 	// chunk state
@@ -281,7 +265,7 @@ func New(opts Options) (*Service, error) {
 	// shrink: feeding it the combined pressure (which includes its own
 	// bytes) would be a feedback loop. It must exist before the pool:
 	// workers sample memPressure, which reads it.
-	s.gops = newGOPCache(opts.GOPCacheBudget, st.MemPressure, opts.Reuse.ResidualGate)
+	s.gops = newGOPCache(opts.GOPCacheBudget, st.MemPressure)
 	s.gops.tr = s.tr
 	// The scheduler sees the engine's combined footprint (object store +
 	// decoded-GOP cache against the same budget), so the SJF switch
@@ -320,21 +304,15 @@ func New(opts Options) (*Service, error) {
 			"gop_bytes":          g.Bytes,
 		}
 	})
-	s.histStatic = reg.Histogram("core.reuse.static_frac_bp")
 	reg.SnapshotFunc("core.reuse", func() map[string]int64 {
 		g := s.gops.stats()
 		return map[string]int64{
-			"superset_hits":           s.supersetHits.Load(),
-			"superset_misses":         s.supersetMisses.Load(),
-			"xsample_hits":            s.xsampleHits.Load(),
-			"xsample_groups":          s.xsampleGroups.Load(),
-			"residual_frames_checked": s.residualChecked.Load(),
-			"residual_frames_skipped": s.residualSkipped.Load(),
-			"tile_partial_frames":     s.tilePartial.Load(),
-			"tile_static_tiles":       s.tileStatic.Load(),
-			"tile_dynamic_tiles":      s.tileDynamic.Load(),
-			"gop_readmissions":        g.Readmissions,
-			"derived_bytes":           g.DerivedBytes,
+			"superset_hits":    s.supersetHits.Load(),
+			"superset_misses":  s.supersetMisses.Load(),
+			"xsample_hits":     s.xsampleHits.Load(),
+			"xsample_groups":   s.xsampleGroups.Load(),
+			"gop_readmissions": g.Readmissions,
+			"derived_bytes":    g.DerivedBytes,
 		}
 	})
 	// Pool counters already carry dotted names ("frame.pool.gets"); the
@@ -427,40 +405,6 @@ func (s *Service) GOPStats() GOPCacheStats {
 	return GOPCacheStats(st)
 }
 
-// Counters gathers the engine's hot-path efficiency counters — GOP-cache
-// behavior, frame-pool reuse, and compressor reuse — into one metrics
-// set for reporting and benchmarks.
-func (s *Service) Counters() *metrics.CounterSet {
-	cs := metrics.NewCounterSet()
-	g := s.gops.stats()
-	cs.Add("core.gop.hits", g.Hits)
-	cs.Add("core.gop.misses", g.Misses)
-	cs.Add("core.gop.extends", g.Extends)
-	cs.Add("core.gop.evictions", g.Evictions)
-	cs.Add("core.gop.readmissions", g.Readmissions)
-	cs.Add("core.gop.frames_decoded", g.FramesDecoded)
-	cs.Add("core.gop.bytes_decoded", g.BytesDecoded)
-	cs.Add("core.gop.bytes", g.Bytes)
-	cs.Add("core.gop.entries", int64(g.Entries))
-	r := s.ReuseStats()
-	cs.Add("core.reuse.superset_hits", r.SupersetHits)
-	cs.Add("core.reuse.superset_misses", r.SupersetMisses)
-	cs.Add("core.reuse.xsample_hits", r.XSampleHits)
-	cs.Add("core.reuse.xsample_groups", r.XSampleGroups)
-	cs.Add("core.reuse.residual_frames_checked", r.ResidualChecked)
-	cs.Add("core.reuse.residual_frames_skipped", r.ResidualSkipped)
-	cs.Add("core.reuse.tile_partial_frames", r.TilePartialFrames)
-	cs.Add("core.reuse.tile_static_tiles", r.TileStaticTiles)
-	cs.Add("core.reuse.tile_dynamic_tiles", r.TileDynamicTiles)
-	for k, v := range frame.PoolStats() {
-		cs.Add(k, v)
-	}
-	for k, v := range codec.PoolStats() {
-		cs.Add(k, v)
-	}
-	return cs
-}
-
 // ReuseStats summarizes the overlap-aware computation-reuse layer.
 type ReuseStats struct {
 	// SupersetHits counts views served as sub-slices of a shared superset
@@ -470,14 +414,6 @@ type ReuseStats struct {
 	// more than one sample of a batch; XSampleGroups counts such groups
 	// at plan time.
 	XSampleHits, XSampleGroups int64
-	// ResidualChecked counts frames tested against the residual gate;
-	// ResidualSkipped counts frames that reused the previous augmented
-	// output.
-	ResidualChecked, ResidualSkipped int64
-	// TilePartialFrames counts gated frames rebuilt tile-granularly
-	// (static tiles spliced forward, dynamic tiles recomputed);
-	// TileStaticTiles / TileDynamicTiles break those frames' tiles down.
-	TilePartialFrames, TileStaticTiles, TileDynamicTiles int64
 	// GOPReadmissions counts ghost-history readmissions in the GOP cache.
 	GOPReadmissions int64
 	// DerivedBytes is the cumulative footprint of cached superset frames.
@@ -488,17 +424,12 @@ type ReuseStats struct {
 func (s *Service) ReuseStats() ReuseStats {
 	g := s.gops.stats()
 	return ReuseStats{
-		SupersetHits:      s.supersetHits.Load(),
-		SupersetMisses:    s.supersetMisses.Load(),
-		XSampleHits:       s.xsampleHits.Load(),
-		XSampleGroups:     s.xsampleGroups.Load(),
-		ResidualChecked:   s.residualChecked.Load(),
-		ResidualSkipped:   s.residualSkipped.Load(),
-		TilePartialFrames: s.tilePartial.Load(),
-		TileStaticTiles:   s.tileStatic.Load(),
-		TileDynamicTiles:  s.tileDynamic.Load(),
-		GOPReadmissions:   g.Readmissions,
-		DerivedBytes:      g.DerivedBytes,
+		SupersetHits:    s.supersetHits.Load(),
+		SupersetMisses:  s.supersetMisses.Load(),
+		XSampleHits:     s.xsampleHits.Load(),
+		XSampleGroups:   s.xsampleGroups.Load(),
+		GOPReadmissions: g.Readmissions,
+		DerivedBytes:    g.DerivedBytes,
 	}
 }
 

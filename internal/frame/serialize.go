@@ -16,9 +16,11 @@ import (
 // which makes smooth synthetic video compress well while staying lossless.
 
 const (
-	frameMagic   = 0x53464d31 // "SFM1"
-	clipMagic    = 0x53434c31 // "SCL1"
-	maxDimension = 1 << 16
+	frameMagic = 0x53464d31 // "SFM1"
+	clipMagic  = 0x53434c31 // "SCL1"
+	// MaxDimension bounds frame width and height. Parsers of stored
+	// frames and encoded video reject larger headers before allocating.
+	MaxDimension = 1 << 16
 )
 
 // zlibWriterPool and zlibReaderPool Reset-reuse the flate state machines
@@ -149,7 +151,7 @@ func DecodeFrame(data []byte) (*Frame, error) {
 	c := int(binary.LittleEndian.Uint32(data[12:]))
 	idx := int(int32(binary.LittleEndian.Uint32(data[16:])))
 	pts := int64(binary.LittleEndian.Uint64(data[20:]))
-	if w <= 0 || h <= 0 || c <= 0 || w > maxDimension || h > maxDimension || c > 16 {
+	if w <= 0 || h <= 0 || c <= 0 || w > MaxDimension || h > MaxDimension || c > 16 {
 		return nil, fmt.Errorf("frame: implausible geometry %dx%dx%d", w, h, c)
 	}
 	r, err := getZlibReader(data[28:])

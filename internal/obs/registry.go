@@ -118,7 +118,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 // SnapshotFunc registers (or replaces) a named snapshot provider: fn
 // returns a map of counter-style values exposed under "prefix.key". This
 // bridges subsystems that keep their own counter structs (store stats,
-// scheduler stats, metrics.CounterSet) into the unified exposition.
+// scheduler stats, the view server's counters) into the unified exposition.
 func (r *Registry) SnapshotFunc(prefix string, fn func() map[string]int64) {
 	if r == nil || fn == nil {
 		return

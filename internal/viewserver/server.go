@@ -7,7 +7,6 @@ import (
 	"math"
 	"net"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,17 +142,30 @@ func (s Stats) ReadaheadHitRate() float64 {
 	return float64(s.ReadaheadHits) / float64(total)
 }
 
-// Counter names used in the metrics.CounterSet.
+// Event counters, one atomic slot each in Server.ctrs; ctrNames holds
+// the name each is exposed under.
 const (
-	ctrBytesServed = "bytes.served"
-	ctrRAHit       = "readahead.hit"
-	ctrRAMiss      = "readahead.miss"
-	ctrRAGrow      = "readahead.grow"
-	ctrRAShrink    = "readahead.shrink"
-	ctrRABrake     = "readahead.brake"
-	ctrZCHit       = "dataplane.zerocopy.hit"
-	ctrZCFallback  = "dataplane.copy.fallback"
+	ctrBytesServed = iota
+	ctrRAHit
+	ctrRAMiss
+	ctrRAGrow
+	ctrRAShrink
+	ctrRABrake
+	ctrZCHit
+	ctrZCFallback
+	numCtrs
 )
+
+var ctrNames = [numCtrs]string{
+	ctrBytesServed: "bytes.served",
+	ctrRAHit:       "readahead.hit",
+	ctrRAMiss:      "readahead.miss",
+	ctrRAGrow:      "readahead.grow",
+	ctrRAShrink:    "readahead.shrink",
+	ctrRABrake:     "readahead.brake",
+	ctrZCHit:       "dataplane.zerocopy.hit",
+	ctrZCFallback:  "dataplane.copy.fallback",
+}
 
 // Server exports a vfs.Mount over length-prefixed frames. One goroutine
 // reads each connection; requests dispatch to bounded per-session worker
@@ -162,7 +174,8 @@ const (
 type Server struct {
 	mount vfs.Mount
 	opts  Options
-	ctr   *metrics.CounterSet
+	ops   [opMax]atomic.Int64 // completed requests, indexed by op code
+	ctrs  [numCtrs]atomic.Int64
 
 	tr      *obs.Tracer
 	histReq *obs.Histogram // per-request service time (ns)
@@ -212,7 +225,6 @@ func New(m vfs.Mount, opts Options) *Server {
 	s := &Server{
 		mount:    m,
 		opts:     opts,
-		ctr:      metrics.NewCounterSet(),
 		sessions: map[*session]struct{}{},
 		ra:       map[string]*raEntry{},
 		tr:       opts.Obs.Trace(),
@@ -230,7 +242,7 @@ func New(m vfs.Mount, opts Options) *Server {
 			return float64(depths[len(depths)-1]) // max: depths are sorted
 		})
 		r.Gauge("viewserver.ra_pinned_bytes", func() float64 { return float64(s.raBytes.Load()) })
-		r.SnapshotFunc("viewserver", func() map[string]int64 { return s.ctr.Snapshot() })
+		r.SnapshotFunc("viewserver", s.counterSnapshot)
 	}
 	return s
 }
@@ -323,25 +335,46 @@ func (s *Server) Close() error {
 	return nil
 }
 
+// counterSnapshot returns every nonzero counter under its exposed name,
+// requests as "op.<name>".
+func (s *Server) counterSnapshot() map[string]int64 {
+	out := map[string]int64{}
+	for op, n := range s.requests() {
+		out["op."+op] = n
+	}
+	for i := range s.ctrs {
+		if v := s.ctrs[i].Load(); v != 0 {
+			out[ctrNames[i]] = v
+		}
+	}
+	return out
+}
+
+// requests returns the completed-request count of every op that has
+// served at least one request.
+func (s *Server) requests() map[string]int64 {
+	out := map[string]int64{}
+	for op := range s.ops {
+		if n := s.ops[op].Load(); n > 0 {
+			out[Op(op).String()] = n
+		}
+	}
+	return out
+}
+
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() Stats {
-	snap := s.ctr.Snapshot()
 	st := Stats{
-		Requests:         map[string]int64{},
-		BytesServed:      snap[ctrBytesServed],
-		ReadaheadHits:    snap[ctrRAHit],
-		ReadaheadMisses:  snap[ctrRAMiss],
+		Requests:         s.requests(),
+		BytesServed:      s.ctrs[ctrBytesServed].Load(),
+		ReadaheadHits:    s.ctrs[ctrRAHit].Load(),
+		ReadaheadMisses:  s.ctrs[ctrRAMiss].Load(),
 		ReadaheadBytes:   s.raBytes.Load(),
-		ReadaheadGrows:   snap[ctrRAGrow],
-		ReadaheadShrinks: snap[ctrRAShrink],
-		ReadaheadBrakes:  snap[ctrRABrake],
-		ZeroCopyHits:     snap[ctrZCHit],
-		CopyFallbacks:    snap[ctrZCFallback],
-	}
-	for k, v := range snap {
-		if name, ok := strings.CutPrefix(k, "op."); ok {
-			st.Requests[name] = v
-		}
+		ReadaheadGrows:   s.ctrs[ctrRAGrow].Load(),
+		ReadaheadShrinks: s.ctrs[ctrRAShrink].Load(),
+		ReadaheadBrakes:  s.ctrs[ctrRABrake].Load(),
+		ZeroCopyHits:     s.ctrs[ctrZCHit].Load(),
+		CopyFallbacks:    s.ctrs[ctrZCFallback].Load(),
 	}
 	s.mu.Lock()
 	st.OpenSessions = len(s.sessions)
@@ -349,10 +382,6 @@ func (s *Server) Stats() Stats {
 	s.mu.Unlock()
 	return st
 }
-
-// Counters exposes the raw counter set (shared with the live server; use
-// Snapshot for a consistent view).
-func (s *Server) Counters() *metrics.CounterSet { return s.ctr }
 
 // StatsTable renders the counters plus gauges for reporting.
 func (s *Server) StatsTable() *metrics.Table {
@@ -477,7 +506,7 @@ func (s *Server) handle(sess *session, req request) {
 		spanStart := s.tr.Now()
 		defer func() { s.tr.Span("viewserver", "req."+req.op.String(), 0, spanStart, req.path) }()
 	}
-	s.ctr.Add("op."+req.op.String(), 1)
+	s.ops[req.op].Add(1)
 	switch req.op {
 	case OpPing:
 		sess.send(req.id, StatusOK, nil)
@@ -625,7 +654,7 @@ func (s *Server) handleRead(sess *session, req request) {
 	chunk := data[h.off : h.off+n]
 	h.off += n
 	h.mu.Unlock()
-	s.ctr.Add(ctrBytesServed, int64(n))
+	s.ctrs[ctrBytesServed].Add(int64(n))
 	s.wireCtr.Add(int64(n))
 	sess.sendPayload(req.id, StatusOK, chunk, h.view.Pinned)
 }
@@ -651,7 +680,7 @@ func (s *Server) handleReadAt(sess *session, req request) {
 		n = rem
 	}
 	chunk := data[off : int(off)+n]
-	s.ctr.Add(ctrBytesServed, int64(n))
+	s.ctrs[ctrBytesServed].Add(int64(n))
 	s.wireCtr.Add(int64(n))
 	status := StatusOK
 	if n < int(req.n) {
@@ -688,13 +717,13 @@ func (s *Server) materialize(sess *session, path string) (*vfs.View, error) {
 		<-e.done
 		if e.err == nil {
 			s.raBytes.Add(-int64(len(e.view.Data)))
-			s.ctr.Add(ctrRAHit, 1)
+			s.ctrs[ctrRAHit].Add(1)
 			s.scheduleReadahead(parsed, depth)
 			return e.view, nil
 		}
 		// A failed prefetch is not a hit; fall through to a live load.
 	}
-	s.ctr.Add(ctrRAMiss, 1)
+	s.ctrs[ctrRAMiss].Add(1)
 	v, err := s.timedLoad(path)
 	if err == nil {
 		s.scheduleReadahead(parsed, depth)
@@ -731,9 +760,9 @@ func (sess *session) adaptDepth(s *Server) int {
 	if s.raBytes.Load() > s.opts.ReadAheadBudget {
 		if sess.raDepth > 1 {
 			sess.raDepth--
-			s.ctr.Add(ctrRAShrink, 1)
+			s.ctrs[ctrRAShrink].Add(1)
 		}
-		s.ctr.Add(ctrRABrake, 1)
+		s.ctrs[ctrRABrake].Add(1)
 		return 0
 	}
 
@@ -753,10 +782,10 @@ func (sess *session) adaptDepth(s *Server) int {
 	switch {
 	case target > sess.raDepth:
 		sess.raDepth++
-		s.ctr.Add(ctrRAGrow, 1)
+		s.ctrs[ctrRAGrow].Add(1)
 	case target < sess.raDepth:
 		sess.raDepth--
-		s.ctr.Add(ctrRAShrink, 1)
+		s.ctrs[ctrRAShrink].Add(1)
 	}
 	if sess.raDepth < 1 {
 		sess.raDepth = 1
@@ -971,12 +1000,12 @@ func (sess *session) sendPayload(id uint64, status uint8, chunk []byte, pinned b
 	srv := sess.srv
 	if !pinned || srv.opts.ForceCopy || len(chunk) == 0 {
 		if len(chunk) > 0 { // empty EOF frames are not fallbacks
-			srv.ctr.Add(ctrZCFallback, 1)
+			srv.ctrs[ctrZCFallback].Add(1)
 		}
 		sess.send(id, status, func(b []byte) []byte { return appendBlob(b, chunk) })
 		return
 	}
-	srv.ctr.Add(ctrZCHit, 1)
+	srv.ctrs[ctrZCHit].Add(1)
 	bp := respPool.Get().(*[]byte)
 	hdr := (*bp)[:0]
 	hdr = append(hdr, 0, 0, 0, 0)

@@ -27,26 +27,37 @@ echo "== quickstart shard smoke (1 shard vs 16 shards)"
 go run ./examples/quickstart -store-shards 1 >/dev/null
 go run ./examples/quickstart -store-shards 16 >/dev/null
 
-echo "== overlap-aware reuse smoke (superset hits + byte-identical output)"
+echo "== overlap-aware reuse smoke (superset hits + byte-identical output at every level)"
 # The four-view overlapping-crop quickstart must produce byte-identical
-# batches with superset reuse on and off, and the reuse path must
-# actually fire (nonzero superset hits) — see DESIGN.md §9.
-REUSE_ON="$(go run ./examples/quickstart -overlap | grep -E '^(batch digest|reuse):')"
-REUSE_OFF="$(go run ./examples/quickstart -overlap -reuse=false | grep -E '^(batch digest|reuse):')"
-DIG_ON="$(grep '^batch digest:' <<<"$REUSE_ON")"
-DIG_OFF="$(grep '^batch digest:' <<<"$REUSE_OFF")"
-if [ -z "$DIG_ON" ] || [ "$DIG_ON" != "$DIG_OFF" ]; then
-	echo "reuse smoke: output digests differ between -reuse=true and -reuse=false" >&2
-	echo "  on:  $DIG_ON" >&2
-	echo "  off: $DIG_OFF" >&2
+# batches at -reuse=batch, sample and off, and the reuse path must
+# actually fire (nonzero superset hits) at batch and sample level — see
+# DESIGN.md §9. An unknown level must be rejected.
+declare -A REUSE_OUT
+for level in batch sample off; do
+	REUSE_OUT[$level]="$(go run ./examples/quickstart -overlap -reuse=$level | grep -E '^(batch digest|reuse):')"
+done
+DIG_BATCH="$(grep '^batch digest:' <<<"${REUSE_OUT[batch]}")"
+for level in sample off; do
+	DIG="$(grep '^batch digest:' <<<"${REUSE_OUT[$level]}")"
+	if [ -z "$DIG_BATCH" ] || [ "$DIG_BATCH" != "$DIG" ]; then
+		echo "reuse smoke: output digests differ between -reuse=batch and -reuse=$level" >&2
+		echo "  batch:  $DIG_BATCH" >&2
+		echo "  $level: $DIG" >&2
+		exit 1
+	fi
+done
+for level in batch sample; do
+	if ! grep '^reuse:' <<<"${REUSE_OUT[$level]}" | grep -q 'superset_hits=[1-9]'; then
+		echo "reuse smoke: no superset hits at -reuse=$level on the overlapping-view task" >&2
+		grep '^reuse:' <<<"${REUSE_OUT[$level]}" >&2
+		exit 1
+	fi
+done
+if go run ./examples/quickstart -overlap -reuse=bogus >/dev/null 2>&1; then
+	echo "reuse smoke: quickstart accepted -reuse=bogus" >&2
 	exit 1
 fi
-if ! grep '^reuse:' <<<"$REUSE_ON" | grep -q 'superset_hits=[1-9]'; then
-	echo "reuse smoke: no superset hits on the overlapping-view task" >&2
-	grep '^reuse:' <<<"$REUSE_ON" >&2
-	exit 1
-fi
-echo "reuse smoke: identical digests; $(grep '^reuse:' <<<"$REUSE_ON")"
+echo "reuse smoke: identical digests at batch/sample/off; batch $(grep '^reuse:' <<<"${REUSE_OUT[batch]}")"
 
 echo "== zero-copy dataplane smoke (8 shards, 1 MiB budget)"
 # Tight budget forces eviction passes to run while pinned batches are in
