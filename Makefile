@@ -7,11 +7,13 @@ test:
 	go build ./...
 	go test ./...
 
-# Wire-protocol and codec-container fuzzing (bounded; extend -fuzztime
-# for longer campaigns).
+# Wire-protocol, codec-container and stored-object fuzzing (bounded;
+# extend -fuzztime for longer campaigns).
 fuzz:
 	go test -run=xxx -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/viewserver/
 	go test -run=xxx -fuzz=FuzzParseDecode -fuzztime=30s ./internal/codec/
+	go test -run=xxx -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/frame/
+	go test -run=xxx -fuzz=FuzzDecodeBatch -fuzztime=30s ./internal/core/
 
 # Hot-path benchmarks: writes BENCH_hotpath.json (ns/op, B/op, allocs/op
 # vs the pre-overhaul baseline). BENCHTIME=200x make bench for more laps.

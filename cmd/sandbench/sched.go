@@ -71,16 +71,23 @@ func runSchedBench() error {
 	metric("sched.overload.closed_p99_ns", float64(closedP99))
 	metric("sched.overload.improvement", improvement)
 
-	// Part B: uncontended epoch time with and without an SLO armed.
-	offNS, err := schedEpochRun(0)
-	if err != nil {
-		return err
+	// Part B: uncontended epoch time with and without an SLO armed. An
+	// epoch takes milliseconds, so one run per arm is mostly noise: the
+	// arms alternate uncontendedRuns times and each reports its median.
+	var offs, ons []float64
+	for i := 0; i < uncontendedRuns; i++ {
+		off, err := schedEpochRun(0)
+		if err != nil {
+			return err
+		}
+		on, err := schedEpochRun(50 * time.Millisecond)
+		if err != nil {
+			return err
+		}
+		offs, ons = append(offs, float64(off)), append(ons, float64(on))
 	}
-	onNS, err := schedEpochRun(50 * time.Millisecond)
-	if err != nil {
-		return err
-	}
-	overhead := float64(onNS) / float64(offNS)
+	offNS, onNS := metrics.Summarize(offs).P50, metrics.Summarize(ons).P50
+	overhead := onNS / offNS
 	t = metrics.NewTable(
 		"Uncontended epoch: admission bookkeeping overhead",
 		"arm", "ns/epoch")
@@ -90,8 +97,8 @@ func runSchedBench() error {
 		return err
 	}
 	fmt.Printf("slo-on/slo-off epoch-time ratio %.3f\n", overhead)
-	metric("sched.uncontended.off_ns", float64(offNS))
-	metric("sched.uncontended.on_ns", float64(onNS))
+	metric("sched.uncontended.off_ns", offNS)
+	metric("sched.uncontended.on_ns", onNS)
 	metric("sched.uncontended.overhead", overhead)
 
 	// Part C: adaptive read-ahead vs the fixed default depth.
@@ -216,6 +223,9 @@ func schedOverloadRun(slo time.Duration) (int64, sched.Stats, error) {
 	p99 := steady[(99*len(steady)-1)/100]
 	return p99, pool.Stats(), nil
 }
+
+// uncontendedRuns is how many times each uncontended arm runs.
+const uncontendedRuns = 15
 
 // schedEpochRun measures wall time for a small real-engine run with the
 // given DemandSLO (0 = admission bookkeeping off).

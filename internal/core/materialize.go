@@ -254,7 +254,8 @@ func (s *Service) intraSampleWorkers(n int) int {
 // loadBestCached searches the store for the deepest cached prefix of one
 // chain for one frame: the leaf first, then shallower aug objects, then
 // the decoded frame. Returns the loaded frame and the depth it
-// corresponds to, or (nil, 0, nil) when nothing is cached. Depths at or
+// corresponds to, or (nil, 0, nil) when nothing is cached; an object
+// that fails to decode is deleted and counted, not fatal. Depths at or
 // below stopDepth are not consulted (-1 searches all the way down to the
 // decoded frame); superset-grouped chains stop at the crop depth, where
 // the shared region is the cheaper source.
@@ -272,7 +273,15 @@ func (s *Service) loadBestCached(sm *graph.Sample, chain *graph.ResolvedChain, i
 		}
 		f, err := frame.DecodeFrame(obj.Data)
 		if err != nil {
-			return nil, 0, fmt.Errorf("core: corrupt cached object %s: %w", key, err)
+			// Unreadable (bad magic, length or checksum — a torn spill,
+			// or a cache directory written by an older format): drop it
+			// and recompute from a shallower depth.
+			s.corruptObjects.Add(1)
+			s.tr.Instant("core", "corrupt_object", 0, key+": "+err.Error())
+			if err := s.store.Delete(key); err != nil {
+				return nil, 0, fmt.Errorf("core: dropping corrupt object %s: %w", key, err)
+			}
+			continue
 		}
 		s.store.MarkUsed(key)
 		return f, d, nil
@@ -359,30 +368,18 @@ func findLeaf(sm *graph.Sample, ci int, idx int) *graph.Node {
 }
 
 // hotHeat is the GOP acquire count at which a stored object counts as
-// hot: frames derived from a GOP this popular are encoded decode-cheap
-// (stored zlib blocks) and tagged so the store keeps them in memory in
-// preference to cold objects, which spill to disk compressed.
+// hot: it is tagged so the store evicts it after cold objects and spills
+// it verbatim, while cold objects spill to disk compressed.
 const hotHeat = 2
 
-// storeFrame serializes and stores a frame object, persisting it when a
-// disk tier exists (fault tolerance for unpruned objects). heat is the
-// popularity of the source GOP the frame derives from (0 when unknown):
-// hot objects trade bytes for read speed and outrank cold ones in the
-// store's eviction order.
+// storeFrame stores a frame object, persisting it when a disk tier
+// exists (fault tolerance for unpruned objects). heat is the popularity
+// of the source GOP the frame derives from (0 when unknown).
 func (s *Service) storeFrame(key string, f *frame.Frame, deadline int64, ephemeral bool, heat int64) error {
-	var data []byte
-	var err error
-	tier := int64(0)
-	if heat >= hotHeat {
-		data, err = frame.EncodeFrameFast(f)
-		tier = heat
-	} else {
-		data, err = frame.EncodeFrame(f)
+	if heat < hotHeat {
+		heat = 0
 	}
-	if err != nil {
-		return err
-	}
-	obj := &storage.Object{Key: key, Data: data, Deadline: deadline, Ephemeral: ephemeral, Heat: tier}
+	obj := &storage.Object{Key: key, Data: frame.EncodeFrame(f), Deadline: deadline, Ephemeral: ephemeral, Heat: heat}
 	if err := s.store.Put(obj); err != nil {
 		return err
 	}
@@ -403,8 +400,10 @@ func (s *Service) countReuse() {
 }
 
 // materializeBatch builds the full batch payload for one iteration and
-// stores it under the batch key.
-func (s *Service) materializeBatch(key iterationKey, deadline int64, tid obs.TraceID) error {
+// stores it under the batch key. With pin set the batch is stored pinned
+// and the pin returned, so the demand path hands its waiter a batch no
+// eviction pass can take first; otherwise the pin is nil.
+func (s *Service) materializeBatch(key iterationKey, deadline int64, tid obs.TraceID, pin bool) ([]byte, *storage.Pin, error) {
 	if traced := s.tr.Enabled(); traced {
 		spanStart := s.tr.Now()
 		defer func() {
@@ -419,10 +418,10 @@ func (s *Service) materializeBatch(key iterationKey, deadline int64, tid obs.Tra
 	}
 	samples, err := s.scheduleFor(key)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if len(samples) == 0 {
-		return fmt.Errorf("%w: empty iteration %v", vfs.ErrNotExist, key)
+		return nil, nil, fmt.Errorf("%w: empty iteration %v", vfs.ErrNotExist, key)
 	}
 	// Batch-scoped reuse planning: one pass over every sample of the
 	// iteration, so overlapping views group across samples and the first
@@ -442,7 +441,7 @@ func (s *Service) materializeBatch(key iterationKey, deadline int64, tid obs.Tra
 			clip, err = s.materializeSampleAt(sm, si, plan, deadline, tid)
 		}
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		label := ""
 		if ent, ok := s.snapshot().Find(sm.Video); ok {
@@ -453,7 +452,7 @@ func (s *Service) materializeBatch(key iterationKey, deadline int64, tid obs.Tra
 	}
 	data, err := EncodeBatch(batch)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	obj := &storage.Object{
 		Key:       batchKey(key.task, key.epoch, key.iter),
@@ -461,7 +460,11 @@ func (s *Service) materializeBatch(key iterationKey, deadline int64, tid obs.Tra
 		Deadline:  deadline,
 		Ephemeral: true, // a batch is consumed once, then evictable
 	}
-	return s.store.Put(obj)
+	if !pin {
+		return data, nil, s.store.Put(obj)
+	}
+	p, err := s.store.PutPinned(obj)
+	return data, p, err
 }
 
 // ensureBatch returns the serialized batch for an iteration, producing it
@@ -504,9 +507,16 @@ func (s *Service) ensureBatchPin(key iterationKey) ([]byte, *storage.Pin, error)
 	// spans materialization emits. Carrying the op signature and edge
 	// count means demand runs train the scheduler's cost model too — the
 	// SJF estimates stay fresh even when pre-materialization is gated off.
+	// The batch comes back pinned from the task that stored it: between
+	// its store and this read, concurrent puts may run eviction passes,
+	// and an unpinned batch is the first thing they could take.
 	tid := obs.NextTraceID()
 	remaining, sig := s.planEstimate(key)
-	done := make(chan error, 1)
+	var (
+		data []byte
+		pin  *storage.Pin
+	)
+	done := make(chan error, 1) // the send orders the task's writes before the read
 	err := s.pool.Submit(&sched.Task{
 		Key:       bk,
 		Kind:      sched.Demand,
@@ -514,7 +524,8 @@ func (s *Service) ensureBatchPin(key iterationKey) ([]byte, *storage.Pin, error)
 		Remaining: remaining,
 		Trace:     tid,
 		Run: func() error {
-			err := s.materializeBatch(key, 0, tid)
+			var err error
+			data, pin, err = s.materializeBatch(key, 0, tid, true)
 			done <- err
 			return err
 		},
@@ -525,10 +536,6 @@ func (s *Service) ensureBatchPin(key iterationKey) ([]byte, *storage.Pin, error)
 	if err := <-done; err != nil {
 		return nil, nil, err
 	}
-	obj, pin, err := s.store.GetPinned(bk)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: batch vanished after materialization: %w", err)
-	}
 	s.store.MarkUsed(bk)
 	s.mu.Lock()
 	s.stats.BatchesServed++
@@ -536,7 +543,7 @@ func (s *Service) ensureBatchPin(key iterationKey) ([]byte, *storage.Pin, error)
 	s.mu.Unlock()
 	s.histView.Observe(time.Since(readStart).Nanoseconds())
 	s.schedulePremat(key)
-	return obj.Data, pin, nil
+	return data, pin, nil
 }
 
 // schedulePremat submits pre-materialization tasks for the next Lookahead
@@ -585,7 +592,8 @@ func (s *Service) schedulePremat(after iterationKey) {
 				if _, _, err := s.peekBatch(k); err == nil {
 					return nil
 				}
-				return s.materializeBatch(k, deadline, tid)
+				_, _, err := s.materializeBatch(k, deadline, tid, false)
+				return err
 			},
 		})
 		if err != nil {

@@ -72,30 +72,35 @@ func (s *Service) MaterializePinned(p vfs.Path) (*vfs.View, error) {
 	return vfs.NewPinnedView(data, xattrs, pin.Release), nil
 }
 
-// batchXattrs decodes a serialized batch just far enough to publish its
-// metadata attributes.
+// batchXattrs publishes a serialized batch's metadata attributes. It
+// walks the batch's frame headers, checking every frame's checksum, and
+// never copies pixels.
 func batchXattrs(p vfs.Path, data []byte) (map[string]string, error) {
-	batch, err := DecodeBatch(data)
+	var labels, ts []string
+	var geom frame.Header
+	_, _, err := walkBatch(data, func(i int, clip, label []byte) error {
+		labels = append(labels, string(label))
+		return frame.WalkClip(clip, func(j int, h frame.Header, _ []byte) {
+			if i == 0 {
+				ts = append(ts, strconv.FormatInt(h.PTS, 10))
+				if j == 0 {
+					geom = h
+				}
+			}
+		})
+	})
 	if err != nil {
 		return nil, err
 	}
-	xattrs := map[string]string{
-		"user.sand.clips":  strconv.Itoa(batch.Len()),
-		"user.sand.epoch":  strconv.Itoa(p.Epoch),
-		"user.sand.iter":   strconv.Itoa(p.Iteration),
-		"user.sand.labels": strings.Join(batch.Labels, ","),
-	}
-	if batch.Len() > 0 && batch.Clips[0].Len() > 0 {
-		var ts []string
-		for _, f := range batch.Clips[0].Frames {
-			ts = append(ts, strconv.FormatInt(f.PTS, 10))
-		}
-		xattrs["user.sand.timestamps"] = strings.Join(ts, ",")
-		w, h, c := batch.Clips[0].Geometry()
-		xattrs["user.sand.geometry"] = fmt.Sprintf("%dx%dx%d", w, h, c)
-		xattrs["user.sand.frames_per_clip"] = strconv.Itoa(batch.Clips[0].Len())
-	}
-	return xattrs, nil
+	return map[string]string{
+		"user.sand.clips":           strconv.Itoa(len(labels)),
+		"user.sand.epoch":           strconv.Itoa(p.Epoch),
+		"user.sand.iter":            strconv.Itoa(p.Iteration),
+		"user.sand.labels":          strings.Join(labels, ","),
+		"user.sand.timestamps":      strings.Join(ts, ","),
+		"user.sand.geometry":        fmt.Sprintf("%dx%dx%d", geom.W, geom.H, geom.C),
+		"user.sand.frames_per_clip": strconv.Itoa(len(ts)),
+	}, nil
 }
 
 func (s *Service) materializeVideoView(p vfs.Path) ([]byte, map[string]string, error) {
@@ -132,11 +137,7 @@ func (s *Service) materializeFrameView(p vfs.Path) ([]byte, map[string]string, e
 	if err != nil {
 		return nil, nil, err
 	}
-	data, err := frame.EncodeFrame(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, frameXattrs(p, ent.Video), nil
+	return frame.EncodeFrame(f), frameXattrs(p, ent.Video), nil
 }
 
 func frameXattrs(p vfs.Path, v *codec.Video) map[string]string {
@@ -191,12 +192,8 @@ func (s *Service) materializeAugFrameView(p vfs.Path) ([]byte, map[string]string
 		}
 		sigs = append(sigs, ops[d].Sig)
 	}
-	data, err := frame.EncodeFrame(clip.Frames[0])
-	if err != nil {
-		return nil, nil, err
-	}
 	out := clip.Frames[0]
-	return data, map[string]string{
+	return frame.EncodeFrame(out), map[string]string{
 		"user.sand.pipeline": strings.Join(sigs, "|"),
 		"user.sand.geometry": fmt.Sprintf("%dx%dx%d", out.W, out.H, out.C),
 	}, nil

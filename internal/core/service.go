@@ -165,6 +165,8 @@ type Service struct {
 	xsampleHits    atomic.Int64 // superset hits served through a cross-sample group
 	xsampleGroups  atomic.Int64 // planned groups spanning more than one sample
 
+	corruptObjects atomic.Int64 // cached objects that failed to decode and were dropped
+
 	mu sync.Mutex
 	// chunk state
 	chunkStart int // first epoch of the active chunk
@@ -246,7 +248,7 @@ func New(opts Options) (*Service, error) {
 		MemBudget:    opts.MemBudget,
 		Dir:          opts.CacheDir,
 		Shards:       opts.StoreShards,
-		ColdCompress: true, // popularity tiering: cold spills go compressed
+		ColdCompress: true, // objects are raw in memory; cold spills go compressed
 		Obs:          reg,
 		OnEvictStorm: func(reason string) { s.flight.Breach(reason) },
 	})
@@ -296,6 +298,7 @@ func New(opts Options) (*Service, error) {
 			"objects_reused":     st.ObjectsReused,
 			"streamed_videos":    int64(st.StreamedVideos),
 			"flight_dumps":       s.flight.Dumps(),
+			"corrupt_objects":    s.corruptObjects.Load(),
 			"gop_hits":           g.Hits,
 			"gop_misses":         g.Misses,
 			"gop_extends":        g.Extends,

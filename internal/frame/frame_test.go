@@ -1,9 +1,10 @@
 package frame
 
 import (
-	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -151,9 +152,9 @@ func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, geom := range [][3]int{{1, 1, 1}, {7, 5, 3}, {64, 48, 3}, {33, 17, 1}} {
 		f := randomFrame(rng, geom[0], geom[1], geom[2])
-		enc, err := EncodeFrame(f)
-		if err != nil {
-			t.Fatal(err)
+		enc := EncodeFrame(f)
+		if len(enc) != frameSize(f) || len(enc) != 28+f.Bytes()+4 {
+			t.Fatalf("%v: encoded %d bytes, want header + %d raw + crc", geom, len(enc), f.Bytes())
 		}
 		g, err := DecodeFrame(enc)
 		if err != nil {
@@ -165,22 +166,10 @@ func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSmoothFrameCompresses(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	f := smoothFrame(rng, 128, 128, 3)
-	enc, err := EncodeFrame(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(enc) >= f.Bytes()/4 {
-		t.Fatalf("smooth frame compressed to %d of %d bytes; expected <25%%", len(enc), f.Bytes())
-	}
-}
-
 func TestDecodeFrameRejectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	f := randomFrame(rng, 8, 8, 1)
-	enc, _ := EncodeFrame(f)
+	enc := EncodeFrame(f)
 	if _, err := DecodeFrame(enc[:10]); err == nil {
 		t.Error("accepted truncated header")
 	}
@@ -192,6 +181,37 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 	if _, err := DecodeFrame(enc[:len(enc)-8]); err == nil {
 		t.Error("accepted truncated payload")
 	}
+	if _, err := DecodeFrame(append(append([]byte(nil), enc...), 0)); err == nil {
+		t.Error("accepted trailing bytes")
+	}
+	// One flipped bit anywhere — header, planes or trailer — fails the
+	// length or the checksum check.
+	for i := range enc {
+		bad := append([]byte(nil), enc...)
+		bad[i] ^= 0x10
+		if _, err := DecodeFrame(bad); err == nil {
+			t.Fatalf("accepted a flipped bit at byte %d of %d", i, len(enc))
+		}
+	}
+}
+
+// TestDecodeFrameRejectsHugeGeometryClaim: a header may claim at most
+// what the input actually carries; the length check runs before any
+// allocation.
+func TestDecodeFrameRejectsHugeGeometryClaim(t *testing.T) {
+	enc := EncodeFrame(New(2, 2, 1))
+	binary.LittleEndian.PutUint32(enc[4:], MaxDimension)
+	binary.LittleEndian.PutUint32(enc[8:], MaxDimension)
+	binary.LittleEndian.PutUint32(enc[12:], 16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := DecodeFrame(enc); err == nil {
+		t.Fatal("accepted a 64Ki x 64Ki x 16 claim in 36 bytes")
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 4096 {
+		t.Fatalf("rejecting the claim allocated %d bytes", n)
+	}
 }
 
 func TestClipEncodeDecodeRoundTrip(t *testing.T) {
@@ -201,9 +221,9 @@ func TestClipEncodeDecodeRoundTrip(t *testing.T) {
 		frames[i] = randomFrame(rng, 16, 12, 3)
 	}
 	c, _ := NewClip(frames)
-	enc, err := EncodeClip(c)
-	if err != nil {
-		t.Fatal(err)
+	enc := EncodeClip(c)
+	if len(enc) != ClipSize(c) {
+		t.Fatalf("encoded %d bytes, ClipSize says %d", len(enc), ClipSize(c))
 	}
 	d, err := DecodeClip(enc)
 	if err != nil {
@@ -224,7 +244,7 @@ func TestDecodeClipRejectsCorruption(t *testing.T) {
 		t.Error("accepted tiny buffer")
 	}
 	c, _ := NewClip([]*Frame{New(4, 4, 1)})
-	enc, _ := EncodeClip(c)
+	enc := EncodeClip(c)
 	if _, err := DecodeClip(enc[:len(enc)-2]); err == nil {
 		t.Error("accepted truncated clip")
 	}
@@ -254,11 +274,7 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 		w := int(wRaw%32) + 1
 		h := int(hRaw%32) + 1
 		fr := randomFrame(rng, w, h, 3)
-		enc, err := EncodeFrame(fr)
-		if err != nil {
-			return false
-		}
-		dec, err := DecodeFrame(enc)
+		dec, err := DecodeFrame(EncodeFrame(fr))
 		if err != nil {
 			return false
 		}
@@ -301,52 +317,19 @@ func BenchmarkEncodeFrame(b *testing.B) {
 	b.SetBytes(int64(f.Bytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeFrame(f); err != nil {
-			b.Fatal(err)
-		}
+		EncodeFrame(f)
 	}
 }
 
 func BenchmarkDecodeFrame(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	f := smoothFrame(rng, 256, 256, 3)
-	enc, _ := EncodeFrame(f)
+	enc := EncodeFrame(f)
 	b.SetBytes(int64(f.Bytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeFrame(enc); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func TestEncodeFrameFastRoundTrip(t *testing.T) {
-	f := New(33, 17, 3)
-	for i := range f.Pix {
-		f.Pix[i] = byte((i*31 + 7) % 251)
-	}
-	f.Index = 9
-	f.PTS = 1234
-	fast, err := EncodeFrameFast(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := EncodeFrame(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stored blocks trade size for decode speed; both must decode to the
-	// same frame through the one untouched decoder.
-	for name, data := range map[string][]byte{"fast": fast, "slow": slow} {
-		got, err := DecodeFrame(data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.W != f.W || got.H != f.H || got.C != f.C || got.Index != f.Index || got.PTS != f.PTS {
-			t.Fatalf("%s: header mismatch: %+v", name, got)
-		}
-		if !bytes.Equal(got.Pix, f.Pix) {
-			t.Fatalf("%s: pixel bytes differ after round trip", name)
 		}
 	}
 }

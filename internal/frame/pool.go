@@ -33,8 +33,6 @@ var poolCounters struct {
 	puts        atomic.Int64 // Recycle calls
 	bytesAlloc  atomic.Int64 // bytes newly allocated on pool misses
 	bytesReused atomic.Int64 // bytes served from the pool
-	zlibWriters atomic.Int64 // serializer writer reuses
-	zlibReaders atomic.Int64 // serializer reader reuses
 }
 
 func sizePool(n int) *sync.Pool {
@@ -108,7 +106,5 @@ func PoolStats() map[string]int64 {
 		"frame.pool.puts":         poolCounters.puts.Load(),
 		"frame.pool.bytes_alloc":  poolCounters.bytesAlloc.Load(),
 		"frame.pool.bytes_reused": poolCounters.bytesReused.Load(),
-		"frame.zlib.writer_reuse": poolCounters.zlibWriters.Load(),
-		"frame.zlib.reader_reuse": poolCounters.zlibReaders.Load(),
 	}
 }

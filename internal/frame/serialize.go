@@ -1,239 +1,188 @@
 package frame
 
 import (
-	"bytes"
-	"compress/zlib"
 	"encoding/binary"
 	"fmt"
-	"io"
+	"hash/crc32"
 	"math"
-	"sync"
 )
 
-// Serialization of frames and clips for the storage tier. The format is a
-// small header followed by zlib-compressed, row-predicted pixel data: each
-// row is delta-coded against the pixel to its left (Sub filter, as in PNG),
-// which makes smooth synthetic video compress well while staying lossless.
+// Serialization of frames and clips for the storage tier. In memory the
+// cheapest-to-read form is no encoding at all, so a stored frame is its
+// raw planes behind a fixed header, followed by a checksum:
+//
+//	"SFM2" | W | H | C | Index (u32 each) | PTS (u64) | planes | CRC32C (u32)
+//
+// Integers are little-endian and the CRC32C covers header and planes.
+// Decoding checks the exact length before allocating and the checksum
+// before trusting a byte; compression happens only where bytes leave RAM
+// (the store's spill path).
 
 const (
-	frameMagic = 0x53464d31 // "SFM1"
+	frameMagic = 0x53464d32 // "SFM2"
 	clipMagic  = 0x53434c31 // "SCL1"
 	// MaxDimension bounds frame width and height. Parsers of stored
 	// frames and encoded video reject larger headers before allocating.
 	MaxDimension = 1 << 16
+	// maxChannels bounds the plane count of a stored frame.
+	maxChannels = 16
+
+	frameHeaderLen = 28
+	frameCRCLen    = 4
+	// minFrameLen is the smallest valid encoded frame (one 1x1x1 sample).
+	minFrameLen = frameHeaderLen + 1 + frameCRCLen
 )
 
-// zlibWriterPool and zlibReaderPool Reset-reuse the flate state machines
-// (and their ~64KB windows) across frames instead of rebuilding them for
-// every EncodeFrame/DecodeFrame call on the storage hot path.
-var zlibWriterPool = sync.Pool{}
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// zlibStoredPool holds NoCompression writers for EncodeFrameFast; the
-// level is baked into the flate state, so fast and default writers pool
-// separately.
-var zlibStoredPool = sync.Pool{}
-
-type pooledZlibReader struct {
-	src bytes.Reader
-	zr  io.ReadCloser // also a zlib.Resetter
+// Header is the fixed metadata of an encoded frame.
+type Header struct {
+	W, H, C, Index int
+	PTS            int64
 }
 
-var zlibReaderPool = sync.Pool{}
+// frameSize returns the encoded size of f.
+func frameSize(f *Frame) int { return frameHeaderLen + len(f.Pix) + frameCRCLen }
 
-func getZlibWriter(dst io.Writer) *zlib.Writer {
-	if v := zlibWriterPool.Get(); v != nil {
-		zw := v.(*zlib.Writer)
-		zw.Reset(dst)
-		poolCounters.zlibWriters.Add(1)
-		return zw
-	}
-	return zlib.NewWriter(dst)
+// appendFrame appends the encoding of f to dst.
+func appendFrame(dst []byte, f *Frame) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.W))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.H))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(f.C))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(f.Index)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(f.PTS))
+	dst = append(dst, f.Pix...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
 }
 
-func getZlibStoredWriter(dst io.Writer) *zlib.Writer {
-	if v := zlibStoredPool.Get(); v != nil {
-		zw := v.(*zlib.Writer)
-		zw.Reset(dst)
-		poolCounters.zlibWriters.Add(1)
-		return zw
-	}
-	zw, _ := zlib.NewWriterLevel(dst, zlib.NoCompression) // level is valid: no error
-	return zw
+// EncodeFrame serializes f losslessly into a buffer of exact size.
+func EncodeFrame(f *Frame) []byte {
+	return appendFrame(make([]byte, 0, frameSize(f)), f)
 }
 
-func getZlibReader(data []byte) (*pooledZlibReader, error) {
-	if v := zlibReaderPool.Get(); v != nil {
-		r := v.(*pooledZlibReader)
-		r.src.Reset(data)
-		if err := r.zr.(zlib.Resetter).Reset(&r.src, nil); err != nil {
-			return nil, err
-		}
-		poolCounters.zlibReaders.Add(1)
-		return r, nil
+// parseFrame validates an encoded frame — magic, geometry, exact length
+// and checksum — and returns its header and its planes. The planes alias
+// data: nothing is copied.
+func parseFrame(data []byte) (Header, []byte, error) {
+	var h Header
+	if len(data) < frameHeaderLen {
+		return h, nil, fmt.Errorf("frame: truncated header (%d bytes)", len(data))
 	}
-	r := &pooledZlibReader{}
-	r.src.Reset(data)
-	zr, err := zlib.NewReader(&r.src)
+	if m := binary.LittleEndian.Uint32(data[0:]); m != frameMagic {
+		return h, nil, fmt.Errorf("frame: bad magic %#x", m)
+	}
+	w := binary.LittleEndian.Uint32(data[4:])
+	ht := binary.LittleEndian.Uint32(data[8:])
+	c := binary.LittleEndian.Uint32(data[12:])
+	if w == 0 || ht == 0 || c == 0 || w > MaxDimension || ht > MaxDimension || c > maxChannels {
+		return h, nil, fmt.Errorf("frame: implausible geometry %dx%dx%d", w, ht, c)
+	}
+	n := int(w) * int(ht) * int(c)
+	if len(data) != frameHeaderLen+n+frameCRCLen {
+		return h, nil, fmt.Errorf("frame: %d bytes for a %dx%dx%d frame (want %d)", len(data), w, ht, c, frameHeaderLen+n+frameCRCLen)
+	}
+	body := data[:frameHeaderLen+n]
+	if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(data[frameHeaderLen+n:]); got != want {
+		return h, nil, fmt.Errorf("frame: checksum mismatch (%#x != %#x)", got, want)
+	}
+	h = Header{
+		W: int(w), H: int(ht), C: int(c),
+		Index: int(int32(binary.LittleEndian.Uint32(data[16:]))),
+		PTS:   int64(binary.LittleEndian.Uint64(data[20:])),
+	}
+	return h, body[frameHeaderLen:], nil
+}
+
+// DecodeFrame reverses EncodeFrame into an exclusively owned (pooled)
+// frame.
+func DecodeFrame(data []byte) (*Frame, error) {
+	h, pix, err := parseFrame(data)
 	if err != nil {
 		return nil, err
 	}
-	r.zr = zr
-	return r, nil
+	return copyParsed(h, pix), nil
 }
 
-// EncodeFrame serializes f losslessly.
-func EncodeFrame(f *Frame) ([]byte, error) {
-	return encodeFrame(f, false)
+// copyParsed copies a parsed frame into a pooled frame; the copy
+// overwrites every sample NewPooled leaves undefined.
+func copyParsed(h Header, pix []byte) *Frame {
+	f := NewPooled(h.W, h.H, h.C)
+	f.Index, f.PTS = h.Index, h.PTS
+	copy(f.Pix, pix)
+	return f
 }
 
-// EncodeFrameFast serializes f losslessly in decode-cheap form: the zlib
-// stream uses stored (uncompressed) blocks, so DecodeFrame pays a memcpy
-// instead of an inflate. Bytes are larger, reads are cheaper — the
-// encoding the popularity-tiered store picks for hot objects. The output
-// is a standard stream; DecodeFrame handles both encodings untouched.
-func EncodeFrameFast(f *Frame) ([]byte, error) {
-	return encodeFrame(f, true)
-}
-
-func encodeFrame(f *Frame, fast bool) ([]byte, error) {
-	var buf bytes.Buffer
-	hdr := make([]byte, 28)
-	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(f.W))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(f.H))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(f.C))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(int32(f.Index)))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(f.PTS))
-	buf.Write(hdr)
-
-	var zw *zlib.Writer
-	if fast {
-		zw = getZlibStoredWriter(&buf)
-	} else {
-		zw = getZlibWriter(&buf)
+// ClipSize returns the encoded size of c.
+func ClipSize(c *Clip) int {
+	n := 8
+	for _, f := range c.Frames {
+		n += 4 + frameSize(f)
 	}
-	filtered := make([]byte, f.W)
-	for c := 0; c < f.C; c++ {
-		plane := f.Plane(c)
-		for y := 0; y < f.H; y++ {
-			row := plane[y*f.W : (y+1)*f.W]
-			prev := byte(0)
-			for x, v := range row {
-				filtered[x] = v - prev
-				prev = v
-			}
-			if _, err := zw.Write(filtered); err != nil {
-				return nil, fmt.Errorf("frame: compress: %w", err)
-			}
+	return n
+}
+
+// AppendClip appends the encoding of c to dst: a count header followed
+// by length-prefixed frames.
+func AppendClip(dst []byte, c *Clip) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, clipMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.Frames)))
+	for _, f := range c.Frames {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(frameSize(f)))
+		dst = appendFrame(dst, f)
+	}
+	return dst
+}
+
+// EncodeClip serializes every frame of a clip into one buffer of exact
+// size.
+func EncodeClip(c *Clip) []byte {
+	return AppendClip(make([]byte, 0, ClipSize(c)), c)
+}
+
+// WalkClip validates an encoded clip — every frame's header, length and
+// checksum — and calls fn with each frame's header and planes (aliasing
+// data). It copies no pixels.
+func WalkClip(data []byte, fn func(i int, h Header, pix []byte)) error {
+	if len(data) < 8 || binary.LittleEndian.Uint32(data[0:]) != clipMagic {
+		return fmt.Errorf("frame: bad clip header")
+	}
+	n := binary.LittleEndian.Uint32(data[4:])
+	if n == 0 || uint64(n) > uint64(len(data)-8)/(4+minFrameLen) {
+		return fmt.Errorf("frame: implausible clip length %d for %d bytes", n, len(data))
+	}
+	off := 8
+	for i := 0; i < int(n); i++ {
+		if off+4 > len(data) {
+			return fmt.Errorf("frame: clip truncated at frame %d", i)
 		}
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("frame: compress close: %w", err)
-	}
-	if fast {
-		zlibStoredPool.Put(zw)
-	} else {
-		zlibWriterPool.Put(zw)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeFrame reverses EncodeFrame.
-func DecodeFrame(data []byte) (*Frame, error) {
-	if len(data) < 28 {
-		return nil, fmt.Errorf("frame: truncated header (%d bytes)", len(data))
-	}
-	if binary.LittleEndian.Uint32(data[0:]) != frameMagic {
-		return nil, fmt.Errorf("frame: bad magic %#x", binary.LittleEndian.Uint32(data[0:]))
-	}
-	w := int(binary.LittleEndian.Uint32(data[4:]))
-	h := int(binary.LittleEndian.Uint32(data[8:]))
-	c := int(binary.LittleEndian.Uint32(data[12:]))
-	idx := int(int32(binary.LittleEndian.Uint32(data[16:])))
-	pts := int64(binary.LittleEndian.Uint64(data[20:]))
-	if w <= 0 || h <= 0 || c <= 0 || w > MaxDimension || h > MaxDimension || c > 16 {
-		return nil, fmt.Errorf("frame: implausible geometry %dx%dx%d", w, h, c)
-	}
-	r, err := getZlibReader(data[28:])
-	if err != nil {
-		return nil, fmt.Errorf("frame: decompress: %w", err)
-	}
-	// NewPooled: io.ReadFull overwrites every sample below.
-	f := NewPooled(w, h, c)
-	f.Index, f.PTS = idx, pts
-	if _, err := io.ReadFull(r.zr, f.Pix); err != nil {
-		Recycle(f)
-		return nil, fmt.Errorf("frame: decompress payload: %w", err)
-	}
-	// Read to EOF so zlib verifies the trailing checksum; a truncated or
-	// corrupted stream must not round-trip silently.
-	var one [1]byte
-	if _, err := r.zr.Read(one[:]); err != io.EOF {
-		Recycle(f)
-		return nil, fmt.Errorf("frame: trailing data or corrupt stream: %v", err)
-	}
-	zlibReaderPool.Put(r)
-	// Undo the Sub filter.
-	for ch := 0; ch < c; ch++ {
-		plane := f.Plane(ch)
-		for y := 0; y < h; y++ {
-			row := plane[y*w : (y+1)*w]
-			prev := byte(0)
-			for x := range row {
-				row[x] += prev
-				prev = row[x]
-			}
+		sz := int(binary.LittleEndian.Uint32(data[off:]))
+		off += 4
+		if sz > len(data)-off {
+			return fmt.Errorf("frame: clip frame %d payload truncated", i)
 		}
-	}
-	return f, nil
-}
-
-// EncodeClip serializes every frame of a clip into one buffer.
-func EncodeClip(c *Clip) ([]byte, error) {
-	var buf bytes.Buffer
-	hdr := make([]byte, 8)
-	binary.LittleEndian.PutUint32(hdr[0:], clipMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(c.Frames)))
-	buf.Write(hdr)
-	for i, f := range c.Frames {
-		enc, err := EncodeFrame(f)
+		h, pix, err := parseFrame(data[off : off+sz])
 		if err != nil {
-			return nil, fmt.Errorf("frame: clip frame %d: %w", i, err)
+			return fmt.Errorf("frame: clip frame %d: %w", i, err)
 		}
-		var sz [4]byte
-		binary.LittleEndian.PutUint32(sz[:], uint32(len(enc)))
-		buf.Write(sz[:])
-		buf.Write(enc)
+		fn(i, h, pix)
+		off += sz
 	}
-	return buf.Bytes(), nil
+	if off != len(data) {
+		return fmt.Errorf("frame: %d trailing bytes after clip", len(data)-off)
+	}
+	return nil
 }
 
 // DecodeClip reverses EncodeClip.
 func DecodeClip(data []byte) (*Clip, error) {
-	if len(data) < 8 || binary.LittleEndian.Uint32(data[0:]) != clipMagic {
-		return nil, fmt.Errorf("frame: bad clip header")
-	}
-	n := int(binary.LittleEndian.Uint32(data[4:]))
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("frame: implausible clip length %d", n)
-	}
-	off := 8
-	frames := make([]*Frame, 0, n)
-	for i := 0; i < n; i++ {
-		if off+4 > len(data) {
-			return nil, fmt.Errorf("frame: clip truncated at frame %d", i)
-		}
-		sz := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		if off+sz > len(data) {
-			return nil, fmt.Errorf("frame: clip frame %d payload truncated", i)
-		}
-		f, err := DecodeFrame(data[off : off+sz])
-		if err != nil {
-			return nil, fmt.Errorf("frame: clip frame %d: %w", i, err)
-		}
-		frames = append(frames, f)
-		off += sz
+	var frames []*Frame
+	err := WalkClip(data, func(_ int, h Header, pix []byte) {
+		frames = append(frames, copyParsed(h, pix))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return NewClip(frames)
 }

@@ -118,6 +118,9 @@ type Node struct {
 	// Cached marks the node as part of the materialization frontier
 	// (set initially on leaves, moved by pruning).
 	Cached bool
+	// above is markAboveFrontier's result for this node, valid until
+	// the frontier next moves.
+	above bool
 }
 
 // Size returns the materialized object's byte size.
@@ -176,8 +179,9 @@ type ConcreteGraph struct {
 	Root  *Node
 	// frames indexes decoded-frame nodes by source index.
 	frames map[int]*Node
-	// augIndex merges aug nodes by (frameIdx, cumulative signature).
-	augIndex map[string]*Node
+	// augIndex merges aug nodes by (parent node, op signature), which
+	// identifies the same object as (frameIdx, cumulative signature).
+	augIndex map[augEdge]*Node
 	nodes    int
 }
 
@@ -188,7 +192,7 @@ func NewConcreteGraph(meta VideoMeta) *ConcreteGraph {
 		Video:    meta,
 		Root:     root,
 		frames:   map[int]*Node{},
-		augIndex: map[string]*Node{},
+		augIndex: map[augEdge]*Node{},
 		nodes:    1,
 	}
 }
@@ -214,26 +218,30 @@ func (g *ConcreteGraph) FrameNode(idx int, decodeCost float64) *Node {
 	return n
 }
 
+// augEdge is one op applied to one node.
+type augEdge struct {
+	parent *Node
+	sig    string
+}
+
 // AugChain extends the graph with the op chain applied to the frame at
 // idx, merging nodes that already exist (identical signature prefixes are
 // shared across tasks, epochs and samples). It returns the final node of
 // the chain and increments Uses along the path.
 func (g *ConcreteGraph) AugChain(frameNode *Node, ops []ResolvedOp, cm *CostModel) (*Node, error) {
 	cur := frameNode
-	sig := ""
-	w, h, c := cur.W, cur.H, cur.C
 	for _, rop := range ops {
-		if sig == "" {
-			sig = rop.Sig
-		} else {
-			sig = sig + "|" + rop.Sig
-		}
-		w, h, c = OpOutputGeometry(rop.Op, w, h, c)
-		key := fmt.Sprintf("%d/%s", frameNode.FrameIdx, sig)
+		key := augEdge{cur, rop.Sig}
 		if n, ok := g.augIndex[key]; ok {
 			cur = n
 			continue
 		}
+		// Only a new node pays for its cumulative signature.
+		sig := rop.Sig
+		if cur != frameNode {
+			sig = cur.Sig + "|" + rop.Sig
+		}
+		w, h, c := OpOutputGeometry(rop.Op, cur.W, cur.H, cur.C)
 		n := &Node{
 			Kind: KindAug, Video: g.Video.Name, FrameIdx: frameNode.FrameIdx,
 			Sig: sig, W: w, H: h, C: c,
@@ -308,27 +316,22 @@ func (g *ConcreteGraph) CachedBytes() int64 {
 	return sum
 }
 
-// markAboveFrontier returns the set of nodes that are ancestors of (or
-// are themselves) cached nodes. These objects are produced exactly once
+// markAboveFrontier sets n.above on every node: whether it is a cached
+// node or an ancestor of one. These objects are produced exactly once
 // during pre-materialization; everything else with Uses > 0 must be
 // recomputed every time a sample needs it.
-func (g *ConcreteGraph) markAboveFrontier() map[*Node]bool {
-	above := map[*Node]bool{}
+func (g *ConcreteGraph) markAboveFrontier() {
 	var walk func(n *Node) bool
 	walk = func(n *Node) bool {
-		hasCached := n.Cached
+		n.above = n.Cached
 		for _, c := range n.Children {
 			if walk(c) {
-				hasCached = true
+				n.above = true
 			}
 		}
-		if hasCached {
-			above[n] = true
-		}
-		return hasCached
+		return n.above
 	}
 	walk(g.Root)
-	return above
 }
 
 // RecomputeCost is the per-access preprocessing work remaining under the
@@ -337,11 +340,11 @@ func (g *ConcreteGraph) markAboveFrontier() map[*Node]bool {
 // With nothing cached this equals the full on-demand pipeline cost; with
 // all leaves cached it is zero.
 func (g *ConcreteGraph) RecomputeCost() float64 {
-	above := g.markAboveFrontier()
+	g.markAboveFrontier()
 	var sum float64
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		if n.Kind != KindVideo && !above[n] && n.Uses > 0 {
+		if n.Kind != KindVideo && !n.above && n.Uses > 0 {
 			sum += n.EdgeCost * float64(n.Uses)
 		}
 		for _, c := range n.Children {
@@ -357,11 +360,11 @@ func (g *ConcreteGraph) RecomputeCost() float64 {
 // Summed in tree order, not map order, so the float result is identical
 // across runs.
 func (g *ConcreteGraph) MaterializationCost() float64 {
-	above := g.markAboveFrontier()
+	g.markAboveFrontier()
 	var sum float64
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		if above[n] && n.Kind != KindVideo {
+		if n.above && n.Kind != KindVideo {
 			sum += n.EdgeCost
 		}
 		for _, c := range n.Children {

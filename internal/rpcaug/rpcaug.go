@@ -59,14 +59,10 @@ func (s *service) Apply(req *Request, resp *Response) error {
 	if err != nil {
 		return err
 	}
-	data, err := frame.EncodeClip(out)
-	if err != nil {
-		return fmt.Errorf("rpcaug: encode result: %w", err)
-	}
 	s.mu.Lock()
 	s.calls[req.Name]++
 	s.mu.Unlock()
-	resp.Clip = data
+	resp.Clip = frame.EncodeClip(out)
 	return nil
 }
 
@@ -174,12 +170,8 @@ func (c *Client) List() ([]string, error) {
 
 // Apply runs the named transform remotely.
 func (c *Client) Apply(name string, clip *frame.Clip, params map[string]string) (*frame.Clip, error) {
-	data, err := frame.EncodeClip(clip)
-	if err != nil {
-		return nil, fmt.Errorf("rpcaug: encode request: %w", err)
-	}
 	var resp Response
-	if err := c.rc.Call("Aug.Apply", &Request{Name: name, Clip: data, Params: params}, &resp); err != nil {
+	if err := c.rc.Call("Aug.Apply", &Request{Name: name, Clip: frame.EncodeClip(clip), Params: params}, &resp); err != nil {
 		return nil, fmt.Errorf("rpcaug: %w", err)
 	}
 	return frame.DecodeClip(resp.Clip)

@@ -9,8 +9,7 @@ import (
 
 // BenchmarkStoreRoundTrip measures the object-store hot path the engine
 // pays for every cached intermediate: serialize a frame, Put it into the
-// memory tier, Get it back, and deserialize. The zlib writer/reader
-// allocations dominate pre-pooling.
+// memory tier, Get it back, and deserialize.
 func BenchmarkStoreRoundTrip(b *testing.B) {
 	s, err := Open(Options{MemBudget: 256 << 20})
 	if err != nil {
@@ -22,11 +21,7 @@ func BenchmarkStoreRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		data, err := frame.EncodeFrame(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Put(&Object{Key: "/obj/bench/f0", Data: data}); err != nil {
+		if err := s.Put(&Object{Key: "/obj/bench/f0", Data: frame.EncodeFrame(f)}); err != nil {
 			b.Fatal(err)
 		}
 		obj, err := s.Get("/obj/bench/f0")

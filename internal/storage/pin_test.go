@@ -67,6 +67,43 @@ func TestPinSkipsEviction(t *testing.T) {
 	}
 }
 
+// TestPutPinnedSurvivesOwnEvictionPass: PutPinned pins the object in
+// the same critical section as the insert, so the Put's own eviction
+// pass skips it even though it ranks first (used and ephemeral); the
+// same object stored with Put is that pass's first victim.
+func TestPutPinnedSurvivesOwnEvictionPass(t *testing.T) {
+	for _, pinned := range []bool{false, true} {
+		s := pinStore(t, 1000, 1)
+		put(t, s, "/old", 500, false)
+		o := &Object{Key: "/new", Data: bytes.Repeat([]byte{7}, 400), Used: true, Ephemeral: true}
+		var pin *Pin
+		var err error
+		if pinned {
+			pin, err = s.PutPinned(o) // 900 bytes: past the 750 watermark
+		} else {
+			err = s.Put(o)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		newIn, _ := s.Contains("/new")
+		oldIn, _ := s.Contains("/old")
+		if newIn != pinned || oldIn == pinned {
+			t.Fatalf("pinned=%v: /new resident %v, /old resident %v", pinned, newIn, oldIn)
+		}
+		if !pinned {
+			continue
+		}
+		if got := s.PinnedBytes(); got != 400 {
+			t.Fatalf("pinned bytes = %d, want 400", got)
+		}
+		pin.Release()
+		if got := s.PinnedBytes(); got != 0 {
+			t.Fatalf("pinned bytes after release = %d, want 0", got)
+		}
+	}
+}
+
 // TestPinNested: the object stays ineligible until the last lease drops.
 func TestPinNested(t *testing.T) {
 	s := pinStore(t, 1000, 1)

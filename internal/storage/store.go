@@ -22,11 +22,12 @@
 // within the used-ephemeral class (see DESIGN.md for the documented
 // fairness tolerance).
 //
-// Objects can be leased by reference: GetPinned returns the payload
-// together with a ref-counted Pin that keeps it memory-resident —
-// eviction passes skip pinned objects — so the network dataplane can
-// write cached bytes straight to a socket (writev) without copying them
-// out of the store first. See DESIGN.md ("Zero-copy dataplane").
+// Objects can be leased by reference: GetPinned (or PutPinned, for an
+// object being stored) returns the payload together with a ref-counted
+// Pin that keeps it memory-resident — eviction passes skip pinned
+// objects — so the network dataplane can write cached bytes straight to
+// a socket (writev) without copying them out of the store first. See
+// DESIGN.md ("Zero-copy dataplane").
 //
 // With an observability registry attached (Options.Obs), the store
 // exposes global and per-shard occupancy gauges (including pinned
@@ -70,9 +71,9 @@ type Object struct {
 	// Heat is the object's popularity score — for derived superset
 	// frames, the owning GOP-cache entry's observed acquire count at
 	// store time. Within an eviction class, colder objects evict first,
-	// so hot derived supersets stay memory-resident in their
-	// decode-cheap form while cold ones spill (compressed) to disk.
-	// Zero everywhere reproduces the legacy heat-blind order exactly.
+	// so hot derived supersets stay memory-resident while cold ones
+	// spill (compressed) to disk; a hot object that does spill is
+	// written verbatim. Zero everywhere reproduces the heat-blind order.
 	Heat int64
 
 	// pins is the number of outstanding Pin leases on this object while
@@ -439,15 +440,33 @@ func (s *Store) noteWatermark(total int64) {
 // Put inserts or replaces an object in the memory tier, evicting (and
 // spilling to disk) as needed to respect the budget.
 func (s *Store) Put(obj *Object) error {
+	_, err := s.put(obj, false)
+	return err
+}
+
+// PutPinned is Put returning a pin on the stored object. The pin is
+// taken in the same critical section as the insert, before any eviction
+// pass runs, so neither this Put's pass nor a concurrent one can take
+// the object before the caller has read it. On error no pin is held.
+func (s *Store) PutPinned(obj *Object) (*Pin, error) {
+	p, err := s.put(obj, true)
+	if err != nil {
+		p.Release()
+		return nil, err
+	}
+	return p, nil
+}
+
+func (s *Store) put(obj *Object, pin bool) (*Pin, error) {
 	if obj == nil || obj.Key == "" {
-		return fmt.Errorf("storage: object needs a key")
+		return nil, fmt.Errorf("storage: object needs a key")
 	}
 	if !strings.HasPrefix(obj.Key, "/") {
-		return fmt.Errorf("storage: key %q must be absolute (start with /)", obj.Key)
+		return nil, fmt.Errorf("storage: key %q must be absolute (start with /)", obj.Key)
 	}
 	size := int64(len(obj.Data))
 	if size > s.memBudget {
-		return fmt.Errorf("storage: object %s (%d bytes) exceeds memory budget %d", obj.Key, size, s.memBudget)
+		return nil, fmt.Errorf("storage: object %s (%d bytes) exceeds memory budget %d", obj.Key, size, s.memBudget)
 	}
 	sh := s.shardFor(obj.Key)
 	sh.mu.Lock()
@@ -467,9 +486,13 @@ func (s *Store) Put(obj *Object) error {
 	sh.memBytes.Add(size)
 	sh.gen++
 	total := s.memBytes.Add(size)
+	var p *Pin
+	if pin {
+		p = s.pinLocked(sh, obj)
+	}
 	sh.mu.Unlock()
 	s.noteWatermark(total)
-	return s.maybeEvict()
+	return p, s.maybeEvict()
 }
 
 // Get returns the object for key, promoting a disk-tier object into
@@ -521,6 +544,10 @@ func (s *Store) Get(key string) (*Object, error) {
 	} else {
 		p.obj = &Object{Key: key, Data: data}
 		s.promotions.Add(1)
+		// Insert before retiring the promotion, so a Get arriving in
+		// between finds the object in memory instead of reading the disk
+		// again. Promotion failure is not fatal; serve from the read copy.
+		_ = s.Put(p.obj)
 	}
 	sh.mu.Lock()
 	delete(sh.promos, key)
@@ -530,10 +557,6 @@ func (s *Store) Get(key string) (*Object, error) {
 		return nil, p.err
 	}
 	s.hits.Add(1)
-	if err := s.Put(p.obj); err != nil {
-		// Promotion failure is not fatal; serve from the read copy.
-		return p.obj, nil
-	}
 	return p.obj, nil
 }
 
